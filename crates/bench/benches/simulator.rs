@@ -12,7 +12,7 @@ fn packet_rate(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(10));
     g.bench_function("nat-64pkt-64B", |b| {
         b.iter(|| {
-            let res = bench::run_throughput(bench::Benchmark::Nat, &out, 64, 64, 4);
+            let res = bench::run_chip_throughput(bench::Benchmark::Nat, &out, 64, 64, 1, 4);
             std::hint::black_box(res.cycles)
         })
     });

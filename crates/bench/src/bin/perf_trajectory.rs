@@ -10,7 +10,7 @@
 //! count, so the file doubles as a determinism check.
 
 use bench::json::Json;
-use bench::{compile, run_throughput, solve_stats_json, Benchmark};
+use bench::{compile, run_chip_throughput, solve_stats_json, Benchmark};
 use nova::CompileConfig;
 use std::time::Instant;
 
@@ -91,7 +91,7 @@ fn main() {
             Benchmark::Kasumi => 16,
             Benchmark::Nat => 64,
         };
-        let sim = run_throughput(b, &out, 64, payload, 4);
+        let sim = run_chip_throughput(b, &out, 64, payload, 1, 4);
         eprintln!(
             "  simulate: {} packets, {} cycles, {:.1} Mb/s",
             sim.packets, sim.cycles, sim.mbps

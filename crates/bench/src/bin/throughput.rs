@@ -12,7 +12,7 @@
 //! is bit-identical across hosts and reruns.
 
 use bench::json::Json;
-use bench::{chip_result_json, compile, run_chip_throughput, run_throughput, table, Benchmark};
+use bench::{chip_result_json, compile, run_chip_throughput, table, Benchmark};
 use nova::{CompileConfig, StopReason};
 
 const ENGINE_SWEEP: [usize; 6] = [1, 2, 3, 4, 5, 6];
@@ -83,8 +83,9 @@ fn main() {
             }
             sweep.push(entry);
         }
-        // Single-engine payload sweep, the pre-chip E4 shape, kept so the
-        // payload-size trend stays comparable across PRs.
+        // Payload sweep at one engine (the chip sweep's `engines: 1` point,
+        // varied over payload size), kept so the payload-size trend stays
+        // comparable across PRs.
         let payload_sweep: Vec<Json> = match b {
             Benchmark::Aes => vec![16u32, 32, 64, 128, 256],
             Benchmark::Kasumi => vec![8, 16, 32, 64, 256],
@@ -92,7 +93,7 @@ fn main() {
         }
         .into_iter()
         .map(|p| {
-            let res = run_throughput(b, &out, PACKETS, p, CONTEXTS);
+            let res = run_chip_throughput(b, &out, PACKETS, p, 1, CONTEXTS);
             Json::obj([
                 ("payload_bytes", Json::int(p as usize)),
                 ("packets", Json::int(res.packets as usize)),

@@ -9,8 +9,8 @@ pub mod rollout;
 pub mod service;
 
 use ixp_sim::{
-    simulate, simulate_chip, simulate_topology, ChipConfig, PacketGen, PacketSpec, SimConfig,
-    SimMemory, SimMode, TopologyConfig, TopologyResult, TrafficSpec,
+    simulate_chip, simulate_topology, ChipConfig, PacketGen, PacketSpec, SimMemory, SimMode,
+    TopologyConfig, TopologyResult, TrafficSpec,
 };
 use nova::{CompileConfig, CompileOutput, Compiler};
 use workloads::{aes, kasumi, AES_NOVA, KASUMI_NOVA, NAT_NOVA};
@@ -124,30 +124,8 @@ pub fn setup_memory(b: Benchmark, count: usize, payload_bytes: u32) -> SimMemory
 }
 
 /// Run a compiled benchmark over `count` packets with `payload_bytes` of
-/// payload on `threads` hardware contexts; returns the simulator result.
-pub fn run_throughput(
-    b: Benchmark,
-    out: &CompileOutput,
-    count: usize,
-    payload_bytes: u32,
-    threads: usize,
-) -> ixp_sim::SimResult {
-    let mut mem = setup_memory(b, count, payload_bytes);
-    simulate(
-        &out.prog,
-        &mut mem,
-        &SimConfig {
-            threads,
-            max_cycles: 4_000_000_000,
-            ..Default::default()
-        },
-    )
-    .expect("simulation runs")
-}
-
-/// Run a compiled benchmark over `count` packets with `payload_bytes` of
-/// payload on the chip-level simulator with `engines` micro-engines of
-/// `contexts` contexts each. Deterministic for any host thread count.
+/// payload on a simulated chip of `engines` micro-engines with `contexts`
+/// contexts each. Deterministic for any host thread count.
 pub fn run_chip_throughput(
     b: Benchmark,
     out: &CompileOutput,

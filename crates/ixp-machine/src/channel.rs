@@ -10,11 +10,10 @@
 //!
 //! [`Channel`] models one such bus as a FIFO server with a single
 //! `free_at` horizon and the burst/latency costs from [`crate::timing`].
-//! The single-engine simulator drives it directly per reference; the
-//! chip-level simulator replays batched requests through it in canonical
-//! order at every arbitration epoch. Both paths produce identical service
-//! times for the same request sequence, because the service discipline is
-//! a pure fold over `(issue_cycle, words)` pairs.
+//! The simulator replays batched requests through it in canonical order
+//! at every arbitration epoch; service times depend only on the request
+//! sequence, because the service discipline is a pure fold over
+//! `(issue_cycle, words)` pairs.
 
 use crate::insn::MemSpace;
 use crate::timing::{burst_extra, read_latency, write_latency};
@@ -22,8 +21,8 @@ use crate::timing::{burst_extra, read_latency, write_latency};
 /// Deterministic fault-injection knobs for a memory channel.
 ///
 /// Faults fire on *reference counts*, never on wall time or randomness,
-/// so an injected run is exactly reproducible and two simulators driving
-/// the same request sequence observe the same perturbations. A zero
+/// so an injected run is exactly reproducible: the same request sequence
+/// always observes the same perturbations. A zero
 /// period disables that fault class; [`ChannelFaults::default`] injects
 /// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

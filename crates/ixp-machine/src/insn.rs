@@ -136,8 +136,8 @@ impl fmt::Display for MemSpace {
 }
 
 /// The context-number CSR: reading it yields the executing hardware
-/// context's chip-global index (`engine * contexts_per_engine + context`;
-/// the thread index on the single-engine simulator). It is context-local
+/// context's chip-global index (`engine * contexts_per_engine + context`).
+/// It is context-local
 /// state — reads resolve in one cycle without touching the shared CSR
 /// bus — and writes to it are ignored. The register allocator's spill
 /// code reads it to address a per-context spill region in scratch, so

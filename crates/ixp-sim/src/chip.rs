@@ -1,11 +1,14 @@
-//! Chip-level simulation: N micro-engines sharing the memory channels and
-//! the packet receive/transmit queues.
+//! The interpreter of the micro-ISA: N micro-engines sharing the memory
+//! channels and the packet receive/transmit queues.
 //!
 //! The paper's throughput numbers (§11) come from the whole IXP1200 — six
 //! micro-engines, four hardware contexts each, all contending for one
-//! SRAM, one SDRAM, and one scratch channel. This module scales the
-//! single-engine model of [`crate::sim`] to that chip, with two design
-//! goals:
+//! SRAM, one SDRAM, and one scratch channel. Every configuration, from
+//! one context on one engine up to that chip, is a point of this one
+//! timing model: `run_slice` and `resolve_requests` are the only code
+//! in the repository that executes an [`Instr`], and a single engine is
+//! `engines: 1` (which takes the serial driver, no worker pool). Two
+//! design goals:
 //!
 //! 1. **Deterministic at any host parallelism.** The simulation advances
 //!    in fixed *cycle slices* (arbitration epochs). Within a slice every
@@ -19,11 +22,12 @@
 //!    results are bit-identical whether the slice work runs on 1 or 16
 //!    host threads.
 //!
-//! 2. **Faithful contention.** The arbiter charges the same burst/latency
-//!    costs as the single-engine simulator; a context that issued a read
-//!    sleeps until the arbitrated completion cycle, so adding engines
-//!    beyond a channel's service rate stretches completion times exactly
-//!    like the real bus would (the knee the throughput sweep looks for).
+//! 2. **Faithful contention.** The arbiter charges the documented
+//!    burst/latency costs ([`ixp_machine::timing`]); a context that issued
+//!    a read sleeps until the arbitrated completion cycle, so adding
+//!    engines beyond a channel's service rate stretches completion times
+//!    exactly like the real bus would (the knee the throughput sweep looks
+//!    for).
 //!
 //! The slice length defaults to half the cheapest blocking latency, so
 //! the quantization of *barrier-resolved* wake-ups (a context can only
@@ -31,10 +35,9 @@
 //! cycles per reference; packet rx/tx synchronization (4 cycles on
 //! hardware) is the only op quantized to a full slice. Writes are posted
 //! through a store buffer (the engine does not stall for the grant), a
-//! deliberate simplification the single-engine model does not share.
-//! Cross-engine races on the same address within one slice resolve in the
-//! canonical order above — deterministic, though not cycle-exact against
-//! hardware.
+//! deliberate simplification. Cross-engine races on the same address
+//! within one slice resolve in the canonical order above — deterministic,
+//! though not cycle-exact against hardware.
 
 use crate::engine::{advance_idle, earliest_wake, resolve_addr, RegFile, ThreadState};
 use crate::machine::{RxGrant, SimMemory};
@@ -442,7 +445,6 @@ fn run_slice(e: &mut Engine, prog: &Program<PhysReg>, slice_end: u64) {
                 }
                 Instr::Hash { dst, src } => {
                     let v = hash_unit(t.regs.read(PhysReg::new(Bank::S, src.num)));
-                    let _ = src;
                     t.regs.write(*dst, v);
                     t.state = ThreadState::Blocked(cycle + HASH_CYCLES);
                     e.stats.swap_outs += 1;
@@ -811,9 +813,8 @@ impl OccSampler {
 /// [`simulate_chip`] with structured telemetry: the run executes under a
 /// `phase.sim` span, the arbiter samples windowed per-channel occupancy
 /// every [`OCC_SAMPLE_CYCLES`] modeled cycles, and the finished run
-/// publishes the same `sim.channel.*` / `sim.engine.*` summary as the
-/// single-engine simulator. Sampling only happens on the serial
-/// arbitration path, so determinism is unaffected.
+/// publishes the `sim.channel.*` / `sim.engine.*` summary. Sampling only
+/// happens on the serial arbitration path, so determinism is unaffected.
 ///
 /// # Errors
 ///
@@ -850,12 +851,7 @@ pub fn simulate_chip_reload(
 /// [`simulate_chip_reload`] with structured telemetry (see
 /// [`simulate_chip_with`]); each applied swap lands a
 /// `sim.reload.swaps` counter.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on architectural violations, as
-/// [`simulate_chip_reload`].
-pub fn simulate_chip_reload_with(
+fn simulate_chip_reload_with(
     prog: &Program<PhysReg>,
     swaps: &[ImageSwap],
     mem: &mut SimMemory,
@@ -1050,23 +1046,20 @@ fn simulate_chip_inner(
     let cur = AtomicUsize::new(0);
     let mut swap_driver = SwapDriver::new(swaps);
 
-    let outcome = if workers <= 1 {
-        // Serial driver: same slice/barrier structure, no pool.
+    // The coordinator loop, shared by both drivers below: they differ only
+    // in `run_slices`, which executes every engine up to the given cycle.
+    // Everything after it is the serial barrier phase, so barrier
+    // sequencing exists exactly once.
+    let mut coordinate = |run_slices: &mut dyn FnMut(u64)| {
         let mut t: u64 = 0;
         loop {
             if t >= cfg.max_cycles {
-                break (Ok(StopReason::CycleLimit), t);
+                return Ok((StopReason::CycleLimit, t));
             }
             let slice_end = (t + slice).min(cfg.max_cycles);
-            for e in engines.iter() {
-                run_slice(
-                    &mut e.lock().unwrap(),
-                    images[cur.load(Ordering::Acquire)],
-                    slice_end,
-                );
-            }
+            run_slices(slice_end);
             if let Some(err) = first_error(&engines) {
-                break (Err(err), slice_end);
+                return Err(err);
             }
             resolve_requests(&engines, mem, &mut channels, &mut mem_refs);
             if let Some(s) = sampler.as_mut() {
@@ -1074,7 +1067,7 @@ fn simulate_chip_inner(
             }
             swap_driver.at_barrier(&engines, &images, &cur, mem, slice_end);
             if all_halted(&engines) {
-                break (Ok(StopReason::AllHalted), slice_end);
+                return Ok((StopReason::AllHalted, slice_end));
             }
             let (next_t, skipped) = next_epoch(
                 &engines,
@@ -1091,6 +1084,19 @@ fn simulate_chip_inner(
             }
             t = next_t;
         }
+    };
+
+    let outcome = if workers <= 1 {
+        // Serial driver: same slice/barrier structure, no pool.
+        coordinate(&mut |slice_end| {
+            for e in engines.iter() {
+                run_slice(
+                    &mut e.lock().unwrap(),
+                    images[cur.load(Ordering::Acquire)],
+                    slice_end,
+                );
+            }
+        })
     } else {
         // Persistent work-sharing pool (the style of `ilp`'s parallel
         // tree search): W workers park at a barrier; each epoch the
@@ -1121,52 +1127,19 @@ fn simulate_chip_inner(
                     barrier.wait();
                 });
             }
-            let mut t: u64 = 0;
-            let outcome = loop {
-                if t >= cfg.max_cycles {
-                    break (Ok(StopReason::CycleLimit), t);
-                }
-                let slice_end = (t + slice).min(cfg.max_cycles);
+            let outcome = coordinate(&mut |slice_end| {
                 next.store(0, Ordering::Release);
                 slice_end_shared.store(slice_end, Ordering::Release);
                 barrier.wait(); // workers execute the slice
                 barrier.wait(); // slice complete; coordinator owns the state
-                if let Some(err) = first_error(&engines) {
-                    break (Err(err), slice_end);
-                }
-                resolve_requests(&engines, mem, &mut channels, &mut mem_refs);
-                if let Some(s) = sampler.as_mut() {
-                    s.maybe_sample(obs, slice_end, &channels);
-                }
-                swap_driver.at_barrier(&engines, &images, &cur, mem, slice_end);
-                if all_halted(&engines) {
-                    break (Ok(StopReason::AllHalted), slice_end);
-                }
-                let (next_t, skipped) = next_epoch(
-                    &engines,
-                    &channels,
-                    cfg.mode,
-                    slice_end,
-                    slice,
-                    cfg.max_cycles,
-                    swap_driver.horizon(),
-                );
-                if skipped > 0 {
-                    fp_skips += 1;
-                    fp_skipped_cycles += skipped;
-                }
-                t = next_t;
-            };
+            });
             done.store(true, Ordering::Release);
             barrier.wait(); // release workers into the exit check
             outcome
         })
     };
 
-    let (stop, final_t) = match outcome {
-        (Ok(stop), t) => (stop, t),
-        (Err(e), _) => return Err(e),
-    };
+    let (stop, final_t) = outcome?;
     if obs.enabled() {
         // How much host work the event-driven mode saved. These are the
         // only counters allowed to differ between modes (the differential
@@ -1259,10 +1232,209 @@ fn all_halted(engines: &[Mutex<Engine>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ixp_machine::{Addr, Block};
+    use ixp_machine::{Addr, AluOp, Block, Cond};
 
     fn r(bank: Bank, n: u8) -> PhysReg {
         PhysReg::new(bank, n)
+    }
+
+    /// The single micro-engine: one engine, `contexts` hardware contexts.
+    fn one_engine(contexts: usize) -> ChipConfig {
+        ChipConfig {
+            engines: 1,
+            contexts,
+            max_cycles: 1 << 20,
+            ..ChipConfig::default()
+        }
+    }
+
+    #[test]
+    fn straight_line_arithmetic() {
+        // immed a0, 6; immed b0, 7; add a1, a0, b0; mov s0, a1; write
+        let prog = Program {
+            blocks: vec![Block {
+                instrs: vec![
+                    Instr::Imm {
+                        dst: r(Bank::A, 0),
+                        val: 6,
+                    },
+                    Instr::Imm {
+                        dst: r(Bank::B, 0),
+                        val: 7,
+                    },
+                    Instr::Alu {
+                        op: AluOp::Add,
+                        dst: r(Bank::A, 1),
+                        a: r(Bank::A, 0),
+                        b: AluSrc::Reg(r(Bank::B, 0)),
+                    },
+                    Instr::Move {
+                        dst: r(Bank::S, 0),
+                        src: r(Bank::A, 1),
+                    },
+                    Instr::MemWrite {
+                        space: MemSpace::Sram,
+                        addr: Addr::Imm(10),
+                        src: vec![r(Bank::S, 0)],
+                    },
+                ],
+                term: Terminator::Halt,
+            }],
+            entry: BlockId(0),
+        };
+        let mut mem = SimMemory::with_sizes(64, 64, 64);
+        let res = simulate_chip(&prog, &mut mem, &one_engine(1)).unwrap();
+        assert_eq!(mem.sram[10], 13);
+        assert_eq!(res.stop, StopReason::AllHalted);
+        assert!(res.cycles >= 6);
+        assert_eq!(res.engines.len(), 1);
+        assert_eq!(res.engines[0].instructions, res.instructions);
+        let sram = &res.channels[Channel::index(MemSpace::Sram)];
+        assert_eq!(sram.writes, 1);
+    }
+
+    #[test]
+    fn loops_and_branches() {
+        // a0 = 0; L1: a0 += 1; if a0 < 5 goto L1; store a0.
+        let prog = Program {
+            blocks: vec![
+                Block {
+                    instrs: vec![Instr::Imm {
+                        dst: r(Bank::A, 0),
+                        val: 0,
+                    }],
+                    term: Terminator::Jump(BlockId(1)),
+                },
+                Block {
+                    instrs: vec![Instr::Alu {
+                        op: AluOp::Add,
+                        dst: r(Bank::A, 0),
+                        a: r(Bank::A, 0),
+                        b: AluSrc::Imm(1),
+                    }],
+                    term: Terminator::Branch {
+                        cond: Cond::Lt,
+                        a: r(Bank::A, 0),
+                        b: AluSrc::Imm(5),
+                        if_true: BlockId(1),
+                        if_false: BlockId(2),
+                    },
+                },
+                Block {
+                    instrs: vec![
+                        Instr::Move {
+                            dst: r(Bank::S, 0),
+                            src: r(Bank::A, 0),
+                        },
+                        Instr::MemWrite {
+                            space: MemSpace::Sram,
+                            addr: Addr::Imm(0),
+                            src: vec![r(Bank::S, 0)],
+                        },
+                    ],
+                    term: Terminator::Halt,
+                },
+            ],
+            entry: BlockId(0),
+        };
+        let mut mem = SimMemory::with_sizes(16, 16, 16);
+        simulate_chip(&prog, &mut mem, &one_engine(1)).unwrap();
+        assert_eq!(mem.sram[0], 5);
+    }
+
+    /// One two-word SDRAM read, then halt.
+    fn sdram_read_once() -> Program<PhysReg> {
+        Program {
+            blocks: vec![Block {
+                instrs: vec![Instr::MemRead {
+                    space: MemSpace::Sdram,
+                    addr: Addr::Imm(0),
+                    dst: vec![r(Bank::Ld, 0), r(Bank::Ld, 1)],
+                }],
+                term: Terminator::Halt,
+            }],
+            entry: BlockId(0),
+        }
+    }
+
+    #[test]
+    fn memory_latency_blocks_thread() {
+        let mut mem = SimMemory::with_sizes(16, 16, 16);
+        mem.sdram[0] = 0xAA;
+        let res = simulate_chip(&sdram_read_once(), &mut mem, &one_engine(1)).unwrap();
+        assert!(
+            res.cycles >= read_latency(MemSpace::Sdram),
+            "cycles: {}",
+            res.cycles
+        );
+        assert_eq!(res.engines[0].swap_outs, 1);
+        assert!(
+            res.engines[0].idle_cycles > 0,
+            "the lone context waits on the read"
+        );
+    }
+
+    #[test]
+    fn multithreading_hides_latency() {
+        // Each context: read sdram, halt. With 4 contexts the reads overlap.
+        let cycles = |contexts: usize| {
+            let mut mem = SimMemory::with_sizes(16, 16, 16);
+            simulate_chip(&sdram_read_once(), &mut mem, &one_engine(contexts))
+                .unwrap()
+                .cycles
+        };
+        let (one, four) = (cycles(1), cycles(4));
+        // 4 reads but nowhere near 4x the time.
+        assert!(four < one * 3, "1 context {one} vs 4 contexts {four}");
+    }
+
+    #[test]
+    fn packet_flow() {
+        // rx -> tx loop until the queue drains.
+        let prog = Program {
+            blocks: vec![Block {
+                instrs: vec![
+                    Instr::RxPacket {
+                        len_dst: r(Bank::A, 0),
+                        addr_dst: r(Bank::A, 1),
+                    },
+                    Instr::TxPacket {
+                        addr: r(Bank::A, 1),
+                        len: r(Bank::A, 0),
+                    },
+                ],
+                term: Terminator::Jump(BlockId(0)),
+            }],
+            entry: BlockId(0),
+        };
+        let mut mem = SimMemory::with_sizes(16, 256, 16);
+        for i in 0..5 {
+            mem.rx_queue.push_back((64, i * 16));
+        }
+        let res = simulate_chip(&prog, &mut mem, &one_engine(4)).unwrap();
+        assert_eq!(res.packets, 5);
+        assert_eq!(res.bytes, 320);
+        assert_eq!(mem.tx_log.len(), 5);
+        assert!(res.mbps > 0.0);
+        assert_eq!(res.engines[0].packets, 5);
+    }
+
+    #[test]
+    fn cycle_limit_enforced() {
+        let prog = Program {
+            blocks: vec![Block {
+                instrs: vec![],
+                term: Terminator::Jump(BlockId(0)),
+            }],
+            entry: BlockId(0),
+        };
+        let mut mem = SimMemory::default();
+        let cfg = ChipConfig {
+            max_cycles: 1000,
+            ..one_engine(1)
+        };
+        let res = simulate_chip(&prog, &mut mem, &cfg).unwrap();
+        assert_eq!(res.stop, StopReason::CycleLimit);
     }
 
     /// rx -> read sdram burst -> tx, until the queue drains.

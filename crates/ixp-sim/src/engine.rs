@@ -1,6 +1,6 @@
-//! Micro-engine state shared by the single-engine simulator ([`crate::sim`])
-//! and the chip-level simulator ([`crate::chip`]): the per-context register
-//! file, context scheduling states, and address resolution.
+//! Micro-engine state used by the interpreter ([`crate::chip`]): the
+//! per-context register file, context scheduling states, and address
+//! resolution.
 
 use ixp_machine::{Addr, Bank, PhysReg};
 
@@ -61,7 +61,7 @@ pub(crate) enum ThreadState {
     /// Swapped out until the given cycle.
     Blocked(u64),
     /// Swapped out on a shared-resource request whose completion time the
-    /// arbiter has not determined yet (chip-level simulation only).
+    /// arbiter has not determined yet.
     Pending,
     /// Reached `halt` or parked on an empty receive queue.
     Halted,
@@ -76,8 +76,7 @@ pub(crate) fn resolve_addr(regs: &RegFile, addr: &Addr<PhysReg>) -> u32 {
 
 /// Earliest wake-up among blocked contexts, `None` when nothing is
 /// sleeping on a timer (everything is ready, pending at the arbiter, or
-/// halted). Shared by both simulators' idle-advance paths and by the
-/// chip simulator's event-driven fast path.
+/// halted). Used by the intra-slice idle-advance path.
 pub(crate) fn earliest_wake<'a, I>(states: I) -> Option<u64>
 where
     I: IntoIterator<Item = &'a ThreadState>,
@@ -93,8 +92,8 @@ where
 
 /// Advance an idle engine clock to `target`, crediting the whole span as
 /// idle time. The single canonical accounting for "no context can run":
-/// both simulators and the fast-path skip must charge idle cycles
-/// through here so the two books can never drift apart again.
+/// the intra-slice scheduler and the fast-path skip must both charge idle
+/// cycles through here so the two books can never drift apart.
 pub(crate) fn advance_idle(cycle: &mut u64, idle_cycles: &mut u64, target: u64) {
     debug_assert!(target >= *cycle, "idle-advance going backwards");
     *idle_cycles += target - *cycle;

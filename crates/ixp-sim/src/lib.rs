@@ -11,6 +11,10 @@
 //! until the reference completes, letting the other contexts hide the
 //! latency (the property the paper's applications rely on for line rate).
 //!
+//! There is one interpreter ([`simulate_chip`]); a single micro-engine is
+//! [`ChipConfig`] with `engines: 1`, so every configuration is a point of
+//! the same timing model.
+//!
 //! The simulator doubles as the compiler's final correctness oracle: its
 //! architectural results must match the CPS reference interpreter bit for
 //! bit on every workload.
@@ -26,9 +30,8 @@ mod sim;
 mod topology;
 
 pub use chip::{
-    image_checksum, simulate_chip, simulate_chip_reload, simulate_chip_reload_with,
-    simulate_chip_with, ChipConfig, ImageSwap, SwapOutcome, SwapReport,
-    CONTROL_STORE_RELOAD_CYCLES,
+    image_checksum, simulate_chip, simulate_chip_reload, simulate_chip_with, ChipConfig, ImageSwap,
+    SwapOutcome, SwapReport, CONTROL_STORE_RELOAD_CYCLES,
 };
 pub use machine::{RxGrant, SimMemory};
 pub use packets::{FlowPacket, PacketGen, PacketSpec, TrafficSpec};
@@ -36,9 +39,7 @@ pub use rollout::{
     big_bang_rollout, staged_rollout, DisruptionReport, HealthSlo, RollbackReason, RolloutConfig,
     RolloutFaults, RolloutOutcome, RolloutReport, StageOutcome, StageReport, WindowHealth,
 };
-pub use sim::{
-    simulate, simulate_with, EngineStats, SimConfig, SimError, SimMode, SimResult, StopReason,
-};
+pub use sim::{EngineStats, SimError, SimMode, SimResult, StopReason};
 pub use topology::{
     shard_of, simulate_topology, ChipShard, LatencySummary, TopologyConfig, TopologyError,
     TopologyResult,

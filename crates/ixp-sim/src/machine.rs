@@ -105,7 +105,7 @@ impl SimMemory {
     /// ([`RxGrant::WaitUntil`]), or that the stream is over. Admission
     /// and grants both happen at grant instants (the rx instruction's
     /// issue cycle), which is when the simulated receive hardware is
-    /// consulted; both simulators drive it in canonical request order, so
+    /// consulted; the arbiter drives it in canonical request order, so
     /// drops are deterministic.
     pub fn rx_grant(&mut self, now: u64) -> RxGrant {
         if self.rx_arrivals.is_empty() && self.rx_backlog.is_empty() {

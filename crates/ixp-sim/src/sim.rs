@@ -1,24 +1,17 @@
-//! The micro-engine execution model.
+//! Result, statistics and error types of a simulation run.
 //!
-//! Threads (hardware contexts) run the same program round-robin; a thread
-//! that issues a memory reference swaps out until the reference completes
-//! (plus channel contention), exactly the latency-hiding discipline the
-//! IXP1200's threading was designed for. All timing constants come from
-//! [`ixp_machine::timing`]; channel contention is charged through
-//! [`ixp_machine::channel`], the same bus model the chip-level simulator
-//! ([`crate::chip`]) arbitrates between engines.
+//! There is one interpreter of the micro-ISA — [`crate::chip`] — and a
+//! single micro-engine is its `engines: 1` configuration. This module
+//! holds what every entry point of that interpreter (chip, topology,
+//! rollout) reports: the [`SimResult`] and its per-engine telemetry, the
+//! stop reason, the scheduler mode, and the observability summary.
 
-use crate::engine::{advance_idle, earliest_wake, resolve_addr, RegFile, ThreadState};
-use crate::machine::{RxGrant, SimMemory};
-use ixp_machine::channel::{Channel, ChannelFaults, ChannelStats};
-use ixp_machine::timing::{
-    issue_cycles, read_latency, BRANCH_TAKEN_PENALTY, CLOCK_HZ, HASH_CYCLES,
-};
-use ixp_machine::units::hash_unit;
-use ixp_machine::{AluSrc, Bank, BlockId, Instr, MemSpace, PhysReg, Program, Terminator};
+use ixp_machine::channel::{Channel, ChannelStats};
+use ixp_machine::timing::CLOCK_HZ;
+use ixp_machine::{BlockId, MemSpace};
 use std::collections::HashMap;
 
-/// Time-advance strategy of the simulators.
+/// Time-advance strategy of the simulator.
 ///
 /// Both modes are required to produce bit-identical [`SimResult`]s — the
 /// differential tests enforce it on every workload. The split exists
@@ -40,38 +33,6 @@ pub enum SimMode {
     FastPath,
 }
 
-/// Simulation parameters for one micro-engine.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Hardware contexts running the program (IXP1200: 4 per engine).
-    pub threads: usize,
-    /// Cycle budget (guards against runaway programs). A run that exhausts
-    /// it stops with [`StopReason::CycleLimit`] and partial statistics —
-    /// check [`SimResult::stop`] before treating the numbers as a
-    /// completed run.
-    pub max_cycles: u64,
-    /// Time-advance strategy. The single-engine scheduler has no
-    /// arbitration epochs — its idle-advance already jumps straight to
-    /// the earliest wake-up — so both modes execute identically here;
-    /// the knob mirrors [`crate::ChipConfig`] so one configuration can
-    /// drive either simulator.
-    pub mode: SimMode,
-    /// Deterministic channel fault injection (stalls and dropped/retried
-    /// references). Default: no faults.
-    pub faults: ChannelFaults,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            threads: 4,
-            max_cycles: 500_000_000,
-            mode: SimMode::default(),
-            faults: ChannelFaults::default(),
-        }
-    }
-}
-
 /// Why the simulation ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -85,7 +46,7 @@ pub enum StopReason {
 /// Per-engine execution telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Engine index on the chip (0 for the single-engine simulator).
+    /// Engine index on the chip.
     pub engine: usize,
     /// Instructions issued by this engine's contexts.
     pub instructions: u64,
@@ -138,8 +99,7 @@ pub struct SimResult {
     pub mbps: f64,
     /// Per-channel occupancy/queueing telemetry (SRAM, SDRAM, scratch).
     pub channels: Vec<ChannelStats>,
-    /// Per-engine telemetry (one entry per micro-engine; the
-    /// single-engine [`simulate`] fills exactly one).
+    /// Per-engine telemetry (one entry per micro-engine).
     pub engines: Vec<EngineStats>,
 }
 
@@ -147,8 +107,6 @@ pub struct SimResult {
 /// validator should reject programs that could trigger them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A store-side register was read by a non-memory instruction.
-    ReadFromStoreBank(PhysReg),
     /// Jump target out of range.
     BadTarget(BlockId),
 }
@@ -156,293 +114,12 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::ReadFromStoreBank(r) => write!(f, "read from store-side register {r}"),
             SimError::BadTarget(b) => write!(f, "jump to nonexistent block {b}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-struct Thread {
-    regs: RegFile,
-    block: BlockId,
-    pc: usize,
-    state: ThreadState,
-}
-
-/// Run `prog` on the simulated micro-engine.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on architectural violations (which
-/// [`ixp_machine::validate`] should have ruled out).
-pub fn simulate(
-    prog: &Program<PhysReg>,
-    mem: &mut SimMemory,
-    cfg: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_with(prog, mem, cfg, &nova_obs::Obs::noop())
-}
-
-/// [`simulate`] with structured telemetry: the run executes under a
-/// `phase.sim` span and finishes by publishing per-channel
-/// (`sim.channel.*`) and per-engine (`sim.engine.*`) telemetry — see
-/// [`emit_result_obs`] for the exact taxonomy. The execution loop itself
-/// is untouched; a no-op observer costs nothing per simulated cycle.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on architectural violations, as [`simulate`].
-pub fn simulate_with(
-    prog: &Program<PhysReg>,
-    mem: &mut SimMemory,
-    cfg: &SimConfig,
-    obs: &nova_obs::Obs,
-) -> Result<SimResult, SimError> {
-    let span = obs.span("phase.sim");
-    let res = simulate_inner(prog, mem, cfg)?;
-    span.end();
-    emit_result_obs(obs, &res);
-    Ok(res)
-}
-
-fn simulate_inner(
-    prog: &Program<PhysReg>,
-    mem: &mut SimMemory,
-    cfg: &SimConfig,
-) -> Result<SimResult, SimError> {
-    let mut threads: Vec<Thread> = (0..cfg.threads.max(1))
-        .map(|_| Thread {
-            regs: RegFile::new(),
-            block: prog.entry,
-            pc: 0,
-            state: ThreadState::Ready,
-        })
-        .collect();
-    let mut channels = Channel::per_space_with(cfg.faults);
-    let mut cycle: u64 = 0;
-    let mut estats = EngineStats::new(0);
-    let mut mem_refs: HashMap<MemSpace, (u64, u64)> = HashMap::new();
-    let mut current = 0usize;
-
-    let stop = loop {
-        if cycle >= cfg.max_cycles {
-            break StopReason::CycleLimit;
-        }
-        // Pick the next runnable thread (round robin from `current`).
-        let mut picked = None;
-        for off in 0..threads.len() {
-            let i = (current + off) % threads.len();
-            match threads[i].state {
-                ThreadState::Ready => {
-                    picked = Some(i);
-                    break;
-                }
-                ThreadState::Blocked(until) if until <= cycle => {
-                    threads[i].state = ThreadState::Ready;
-                    picked = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(ti) = picked else {
-            // Everyone blocked or halted: advance to the earliest wake-up
-            // (this per-engine scheduler is already event-driven, so
-            // `SimConfig::mode` changes nothing here).
-            match earliest_wake(threads.iter().map(|t| &t.state)) {
-                Some(u) => {
-                    let target = u.max(cycle + 1);
-                    advance_idle(&mut cycle, &mut estats.idle_cycles, target);
-                    continue;
-                }
-                None => break StopReason::AllHalted,
-            }
-        };
-        current = ti;
-        let t = &mut threads[ti];
-        let block = &prog.blocks[t.block.index()];
-
-        if t.pc < block.instrs.len() {
-            let ins = &block.instrs[t.pc];
-            estats.instructions += 1;
-            cycle += issue_cycles(ins);
-            match ins {
-                Instr::Alu { op, dst, a, b } => {
-                    let av = t.regs.read(*a);
-                    let bv = match b {
-                        AluSrc::Reg(r) => t.regs.read(*r),
-                        AluSrc::Imm(v) => *v,
-                    };
-                    t.regs.write(*dst, op.eval(av, bv));
-                }
-                Instr::Imm { dst, val } => t.regs.write(*dst, *val),
-                Instr::Move { dst, src } => {
-                    let v = t.regs.read(*src);
-                    t.regs.write(*dst, v);
-                }
-                Instr::Clone { .. } => {
-                    // Validated programs never contain clones; treat as nop.
-                }
-                Instr::MemRead { space, addr, dst } => {
-                    let base = resolve_addr(&t.regs, addr);
-                    for (i, d) in dst.iter().enumerate() {
-                        let v = mem.read(*space, base + i as u32);
-                        t.regs.write(*d, v);
-                    }
-                    let e = mem_refs.entry(*space).or_insert((0, 0));
-                    e.0 += 1;
-                    let (_, done) = channels[Channel::index(*space)].service_read(cycle, dst.len());
-                    t.state = ThreadState::Blocked(done);
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::MemWrite { space, addr, src } => {
-                    let base = resolve_addr(&t.regs, addr);
-                    for (i, s) in src.iter().enumerate() {
-                        let v = t.regs.read(*s);
-                        mem.write(*space, base + i as u32, v);
-                    }
-                    let e = mem_refs.entry(*space).or_insert((0, 0));
-                    e.1 += 1;
-                    // Writes retire asynchronously: the thread only pays
-                    // channel acceptance, not the full latency.
-                    let start = channels[Channel::index(*space)].service_write(cycle, src.len());
-                    if start > cycle {
-                        t.state = ThreadState::Blocked(start);
-                        estats.swap_outs += 1;
-                    }
-                }
-                Instr::Hash { dst, src } => {
-                    let v = hash_unit(t.regs.read(PhysReg::new(Bank::S, src.num)));
-                    let _ = src;
-                    t.regs.write(*dst, v);
-                    t.state = ThreadState::Blocked(cycle + HASH_CYCLES);
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::TestAndSet { dst, src, addr } => {
-                    let a = resolve_addr(&t.regs, addr);
-                    let old = mem.read(MemSpace::Sram, a);
-                    let v = t.regs.read(*src);
-                    mem.write(MemSpace::Sram, a, old | v);
-                    t.regs.write(*dst, old);
-                    let e = mem_refs.entry(MemSpace::Sram).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += 1;
-                    t.state = ThreadState::Blocked(cycle + read_latency(MemSpace::Sram));
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::CsrRead { dst, csr } => {
-                    // CSR_CTX is context-local (the active-context number);
-                    // everything else reads the shared CSR file.
-                    let v = if *csr == ixp_machine::CSR_CTX {
-                        ti as u32
-                    } else {
-                        *mem.csr.get(csr).unwrap_or(&0)
-                    };
-                    t.regs.write(*dst, v);
-                }
-                Instr::CsrWrite { src, csr } => {
-                    let v = t.regs.read(*src);
-                    mem.csr.insert(*csr, v);
-                }
-                Instr::RxPacket { len_dst, addr_dst } => {
-                    match mem.rx_grant(cycle) {
-                        RxGrant::Packet { len, addr } => {
-                            t.regs.write(*len_dst, len);
-                            t.regs.write(*addr_dst, addr);
-                            // Synchronizing with the receive scheduler.
-                            t.state = ThreadState::Blocked(cycle + 4);
-                            estats.swap_outs += 1;
-                            t.pc += 1;
-                            continue;
-                        }
-                        RxGrant::WaitUntil(arrival) => {
-                            // Timed traffic: the next packet is still on
-                            // the wire. Sleep until it lands and retry the
-                            // rx (the pc stays put).
-                            t.state = ThreadState::Blocked(arrival);
-                            estats.swap_outs += 1;
-                            continue;
-                        }
-                        RxGrant::Empty => {
-                            // Out of work: this context parks.
-                            t.state = ThreadState::Halted;
-                            continue;
-                        }
-                    }
-                }
-                Instr::TxPacket { addr, len } => {
-                    let a = t.regs.read(*addr);
-                    let l = t.regs.read(*len);
-                    mem.tx_log.push((a, l, cycle));
-                    estats.packets += 1;
-                    estats.bytes += l as u64;
-                    t.state = ThreadState::Blocked(cycle + 4);
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::CtxSwap => {
-                    t.pc += 1;
-                    t.state = ThreadState::Blocked(cycle + 1);
-                    estats.swap_outs += 1;
-                    continue;
-                }
-            }
-            t.pc += 1;
-        } else {
-            // Terminator.
-            estats.instructions += 1;
-            cycle += 1;
-            match &block.term {
-                Terminator::Halt => {
-                    t.state = ThreadState::Halted;
-                }
-                Terminator::Jump(target) => {
-                    if target.index() >= prog.blocks.len() {
-                        return Err(SimError::BadTarget(*target));
-                    }
-                    t.block = *target;
-                    t.pc = 0;
-                    cycle += BRANCH_TAKEN_PENALTY;
-                }
-                Terminator::Branch {
-                    cond,
-                    a,
-                    b,
-                    if_true,
-                    if_false,
-                } => {
-                    let av = t.regs.read(*a);
-                    let bv = match b {
-                        AluSrc::Reg(r) => t.regs.read(*r),
-                        AluSrc::Imm(v) => *v,
-                    };
-                    let taken = cond.eval(av, bv);
-                    let target = if taken { *if_true } else { *if_false };
-                    if target.index() >= prog.blocks.len() {
-                        return Err(SimError::BadTarget(target));
-                    }
-                    if taken {
-                        cycle += BRANCH_TAKEN_PENALTY;
-                    }
-                    t.block = target;
-                    t.pc = 0;
-                }
-            }
-        }
-    };
-
-    estats.halt_cycle = cycle;
-    Ok(finish_result(cycle, mem_refs, stop, channels, vec![estats]))
-}
 
 /// Publish a finished run's telemetry: per-channel counters
 /// (`sim.channel.<space>.{reads,writes,busy_cycles,wait_cycles,max_queue_depth}`),
@@ -487,8 +164,7 @@ pub(crate) fn emit_result_obs(obs: &nova_obs::Obs, res: &SimResult) {
     }
 }
 
-/// Assemble a [`SimResult`] from the raw counters shared by both
-/// simulators.
+/// Assemble a [`SimResult`] from a finished run's raw counters.
 pub(crate) fn finish_result(
     cycles: u64,
     mem_refs: HashMap<MemSpace, (u64, u64)>,
@@ -515,262 +191,5 @@ pub(crate) fn finish_result(
         mbps,
         channels: channels.into_iter().map(|c| c.stats).collect(),
         engines,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ixp_machine::{Addr, AluOp, Block, Cond};
-
-    fn r(bank: Bank, n: u8) -> PhysReg {
-        PhysReg::new(bank, n)
-    }
-
-    #[test]
-    fn straight_line_arithmetic() {
-        // immed a0, 6; immed b0, 7; add a1, a0, b0; mov s0, a1; write
-        let prog = Program {
-            blocks: vec![Block {
-                instrs: vec![
-                    Instr::Imm {
-                        dst: r(Bank::A, 0),
-                        val: 6,
-                    },
-                    Instr::Imm {
-                        dst: r(Bank::B, 0),
-                        val: 7,
-                    },
-                    Instr::Alu {
-                        op: AluOp::Add,
-                        dst: r(Bank::A, 1),
-                        a: r(Bank::A, 0),
-                        b: AluSrc::Reg(r(Bank::B, 0)),
-                    },
-                    Instr::Move {
-                        dst: r(Bank::S, 0),
-                        src: r(Bank::A, 1),
-                    },
-                    Instr::MemWrite {
-                        space: MemSpace::Sram,
-                        addr: Addr::Imm(10),
-                        src: vec![r(Bank::S, 0)],
-                    },
-                ],
-                term: Terminator::Halt,
-            }],
-            entry: BlockId(0),
-        };
-        let mut mem = SimMemory::with_sizes(64, 64, 64);
-        let res = simulate(
-            &prog,
-            &mut mem,
-            &SimConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(mem.sram[10], 13);
-        assert_eq!(res.stop, StopReason::AllHalted);
-        assert!(res.cycles >= 6);
-        assert_eq!(res.engines.len(), 1);
-        assert_eq!(res.engines[0].instructions, res.instructions);
-        let sram = &res.channels[ixp_machine::Channel::index(MemSpace::Sram)];
-        assert_eq!(sram.writes, 1);
-    }
-
-    #[test]
-    fn loops_and_branches() {
-        // a0 = 0; L1: a0 += 1; if a0 < 5 goto L1; store a0.
-        let prog = Program {
-            blocks: vec![
-                Block {
-                    instrs: vec![Instr::Imm {
-                        dst: r(Bank::A, 0),
-                        val: 0,
-                    }],
-                    term: Terminator::Jump(BlockId(1)),
-                },
-                Block {
-                    instrs: vec![Instr::Alu {
-                        op: AluOp::Add,
-                        dst: r(Bank::A, 0),
-                        a: r(Bank::A, 0),
-                        b: AluSrc::Imm(1),
-                    }],
-                    term: Terminator::Branch {
-                        cond: Cond::Lt,
-                        a: r(Bank::A, 0),
-                        b: AluSrc::Imm(5),
-                        if_true: BlockId(1),
-                        if_false: BlockId(2),
-                    },
-                },
-                Block {
-                    instrs: vec![
-                        Instr::Move {
-                            dst: r(Bank::S, 0),
-                            src: r(Bank::A, 0),
-                        },
-                        Instr::MemWrite {
-                            space: MemSpace::Sram,
-                            addr: Addr::Imm(0),
-                            src: vec![r(Bank::S, 0)],
-                        },
-                    ],
-                    term: Terminator::Halt,
-                },
-            ],
-            entry: BlockId(0),
-        };
-        // ALU b-operand immediates over 31 are a validator error, but 1 and
-        // 5 are fine.
-        let mut mem = SimMemory::with_sizes(16, 16, 16);
-        simulate(
-            &prog,
-            &mut mem,
-            &SimConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(mem.sram[0], 5);
-    }
-
-    #[test]
-    fn memory_latency_blocks_thread() {
-        let prog = Program {
-            blocks: vec![Block {
-                instrs: vec![Instr::MemRead {
-                    space: MemSpace::Sdram,
-                    addr: Addr::Imm(0),
-                    dst: vec![r(Bank::Ld, 0), r(Bank::Ld, 1)],
-                }],
-                term: Terminator::Halt,
-            }],
-            entry: BlockId(0),
-        };
-        let mut mem = SimMemory::with_sizes(16, 16, 16);
-        mem.sdram[0] = 0xAA;
-        let res = simulate(
-            &prog,
-            &mut mem,
-            &SimConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            res.cycles >= read_latency(MemSpace::Sdram),
-            "cycles: {}",
-            res.cycles
-        );
-        assert_eq!(res.engines[0].swap_outs, 1);
-        assert!(
-            res.engines[0].idle_cycles > 0,
-            "the lone context waits on the read"
-        );
-    }
-
-    #[test]
-    fn multithreading_hides_latency() {
-        // Each context: read sdram, halt. With 4 threads the reads overlap.
-        let prog = Program {
-            blocks: vec![Block {
-                instrs: vec![Instr::MemRead {
-                    space: MemSpace::Sdram,
-                    addr: Addr::Imm(0),
-                    dst: vec![r(Bank::Ld, 0), r(Bank::Ld, 1)],
-                }],
-                term: Terminator::Halt,
-            }],
-            entry: BlockId(0),
-        };
-        let mut m1 = SimMemory::with_sizes(16, 16, 16);
-        let r1 = simulate(
-            &prog,
-            &mut m1,
-            &SimConfig {
-                threads: 1,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut m4 = SimMemory::with_sizes(16, 16, 16);
-        let r4 = simulate(
-            &prog,
-            &mut m4,
-            &SimConfig {
-                threads: 4,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // 4 reads but nowhere near 4x the time.
-        assert!(
-            r4.cycles < r1.cycles * 3,
-            "1t {} vs 4t {}",
-            r1.cycles,
-            r4.cycles
-        );
-    }
-
-    #[test]
-    fn packet_flow() {
-        // rx -> tx loop until the queue drains.
-        let prog = Program {
-            blocks: vec![Block {
-                instrs: vec![
-                    Instr::RxPacket {
-                        len_dst: r(Bank::A, 0),
-                        addr_dst: r(Bank::A, 1),
-                    },
-                    Instr::TxPacket {
-                        addr: r(Bank::A, 1),
-                        len: r(Bank::A, 0),
-                    },
-                ],
-                term: Terminator::Jump(BlockId(0)),
-            }],
-            entry: BlockId(0),
-        };
-        let mut mem = SimMemory::with_sizes(16, 256, 16);
-        for i in 0..5 {
-            mem.rx_queue.push_back((64, i * 16));
-        }
-        let res = simulate(&prog, &mut mem, &SimConfig::default()).unwrap();
-        assert_eq!(res.packets, 5);
-        assert_eq!(res.bytes, 320);
-        assert_eq!(mem.tx_log.len(), 5);
-        assert!(res.mbps > 0.0);
-        assert_eq!(res.engines[0].packets, 5);
-    }
-
-    #[test]
-    fn cycle_limit_enforced() {
-        let prog = Program {
-            blocks: vec![Block {
-                instrs: vec![],
-                term: Terminator::Jump(BlockId(0)),
-            }],
-            entry: BlockId(0),
-        };
-        let mut mem = SimMemory::default();
-        let res = simulate(
-            &prog,
-            &mut mem,
-            &SimConfig {
-                threads: 1,
-                max_cycles: 1000,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(res.stop, StopReason::CycleLimit);
     }
 }

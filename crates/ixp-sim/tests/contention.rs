@@ -2,10 +2,22 @@
 
 use ixp_machine::timing::{burst_extra, read_latency};
 use ixp_machine::{Addr, Bank, Block, BlockId, Instr, MemSpace, PhysReg, Program, Terminator};
-use ixp_sim::{simulate, simulate_chip, ChipConfig, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 
 fn reg(b: Bank, n: u8) -> PhysReg {
     PhysReg::new(b, n)
+}
+
+/// Cycles `prog` takes on a single micro-engine with `contexts` contexts.
+fn one_engine_cycles(prog: &Program<PhysReg>, contexts: usize) -> u64 {
+    let mut m = SimMemory::with_sizes(64, 64, 64);
+    let cfg = ChipConfig {
+        engines: 1,
+        contexts,
+        max_cycles: 1 << 20,
+        ..Default::default()
+    };
+    simulate_chip(prog, &mut m, &cfg).unwrap().cycles
 }
 
 /// N back-to-back SRAM reads in one thread.
@@ -28,34 +40,8 @@ fn serial_reads(n: usize) -> Program<PhysReg> {
 
 #[test]
 fn serial_reads_pay_full_latency() {
-    let one = {
-        let mut m = SimMemory::with_sizes(64, 16, 16);
-        simulate(
-            &serial_reads(1),
-            &mut m,
-            &SimConfig {
-                threads: 1,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .cycles
-    };
-    let ten = {
-        let mut m = SimMemory::with_sizes(64, 16, 16);
-        simulate(
-            &serial_reads(10),
-            &mut m,
-            &SimConfig {
-                threads: 1,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .cycles
-    };
+    let one = one_engine_cycles(&serial_reads(1), 1);
+    let ten = one_engine_cycles(&serial_reads(10), 1);
     // A single thread cannot overlap its own reads: ~10x the single-read
     // time.
     assert!(ten > one * 8, "one={one} ten={ten}");
@@ -76,34 +62,8 @@ fn threads_overlap_but_channel_serializes_bursts() {
         }],
         entry: BlockId(0),
     };
-    let t1 = {
-        let mut m = SimMemory::with_sizes(64, 16, 16);
-        simulate(
-            &prog,
-            &mut m,
-            &SimConfig {
-                threads: 1,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .cycles
-    };
-    let t4 = {
-        let mut m = SimMemory::with_sizes(64, 16, 16);
-        simulate(
-            &prog,
-            &mut m,
-            &SimConfig {
-                threads: 4,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .cycles
-    };
+    let t1 = one_engine_cycles(&prog, 1);
+    let t4 = one_engine_cycles(&prog, 4);
     assert!(t4 < t1 * 4, "overlap must help: t1={t1} t4={t4}");
     assert!(t4 > t1, "but four bursts cannot be free: t1={t1} t4={t4}");
 }
@@ -193,20 +153,7 @@ fn scratch_beats_sram_beats_sdram() {
         }],
         entry: BlockId(0),
     };
-    let run = |p: &Program<PhysReg>| {
-        let mut m = SimMemory::with_sizes(64, 64, 64);
-        simulate(
-            p,
-            &mut m,
-            &SimConfig {
-                threads: 1,
-                max_cycles: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .cycles
-    };
+    let run = |p: &Program<PhysReg>| one_engine_cycles(p, 1);
     let scratch = run(&mk(MemSpace::Scratch, 8));
     let sram = run(&mk(MemSpace::Sram, 8));
     let sdram = run(&mk(MemSpace::Sdram, 8));

@@ -6,7 +6,7 @@ use ixp_machine::{
     Addr, AluOp, AluSrc, Bank, Block, BlockId, ChannelFaults, Instr, MemSpace, PhysReg, Program,
     Terminator,
 };
-use ixp_sim::{simulate, simulate_chip, ChipConfig, SimConfig, SimMemory, StopReason};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory, StopReason};
 
 fn reg(b: Bank, n: u8) -> PhysReg {
     PhysReg::new(b, n)
@@ -35,7 +35,10 @@ fn spin_forever() -> Program<PhysReg> {
     }
 }
 
-/// A short program: read two words, add, store, halt.
+/// A short program: read two words, add, store, halt. The words come in
+/// two separate reads so that [`FAULTS`]' every-second-reference stall
+/// lands on a read: writes are posted, so only a faulted read holds the
+/// context up.
 fn read_add_store() -> Program<PhysReg> {
     Program {
         blocks: vec![Block {
@@ -43,7 +46,12 @@ fn read_add_store() -> Program<PhysReg> {
                 Instr::MemRead {
                     space: MemSpace::Sram,
                     addr: Addr::Imm(0),
-                    dst: vec![reg(Bank::L, 0), reg(Bank::L, 1)],
+                    dst: vec![reg(Bank::L, 0)],
+                },
+                Instr::MemRead {
+                    space: MemSpace::Sram,
+                    addr: Addr::Imm(1),
+                    dst: vec![reg(Bank::L, 1)],
                 },
                 Instr::Move {
                     dst: reg(Bank::A, 0),
@@ -87,14 +95,15 @@ fn faults_slow_the_run_but_preserve_results() {
         let mut mem = SimMemory::with_sizes(64, 16, 16);
         mem.sram[0] = 30;
         mem.sram[1] = 12;
-        let res = simulate(
+        let res = simulate_chip(
             &read_add_store(),
             &mut mem,
-            &SimConfig {
-                threads: 1,
+            &ChipConfig {
+                engines: 1,
+                contexts: 1,
                 max_cycles: 1 << 20,
                 faults,
-                ..SimConfig::default()
+                ..ChipConfig::default()
             },
         )
         .unwrap();
@@ -116,14 +125,15 @@ fn faults_slow_the_run_but_preserve_results() {
 fn watchdog_still_fires_under_faults_with_partial_stats() {
     const LIMIT: u64 = 5_000;
     let mut mem = SimMemory::with_sizes(64, 16, 16);
-    let res = simulate(
+    let res = simulate_chip(
         &spin_forever(),
         &mut mem,
-        &SimConfig {
-            threads: 2,
+        &ChipConfig {
+            engines: 1,
+            contexts: 2,
             max_cycles: LIMIT,
             faults: FAULTS,
-            ..SimConfig::default()
+            ..ChipConfig::default()
         },
     )
     .unwrap();

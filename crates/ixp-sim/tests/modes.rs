@@ -137,13 +137,24 @@ fn fingerprint(res: &SimResult, mem: &SimMemory) -> impl PartialEq + std::fmt::D
 
 fn run(
     prog: &Program<PhysReg>,
+    mem: SimMemory,
+    mode: SimMode,
+    host_threads: usize,
+    max_cycles: u64,
+) -> (impl PartialEq + std::fmt::Debug, StopReason) {
+    run_on(3, prog, mem, mode, host_threads, max_cycles)
+}
+
+fn run_on(
+    engines: usize,
+    prog: &Program<PhysReg>,
     mut mem: SimMemory,
     mode: SimMode,
     host_threads: usize,
     max_cycles: u64,
 ) -> (impl PartialEq + std::fmt::Debug, StopReason) {
     let cfg = ChipConfig {
-        engines: 3,
+        engines,
         contexts: 2,
         host_threads,
         max_cycles,
@@ -218,25 +229,28 @@ fn modes_agree_on_the_legacy_preloaded_queue() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any traffic seed, any buffer bound, any host thread count: the
-    /// fast path and the oracle tell exactly the same story, drops and
-    /// all.
+    /// Any traffic seed, any buffer bound, any host thread count, any
+    /// engine count down to the single engine: the fast path and the
+    /// oracle tell exactly the same story, drops and all.
     #[test]
     fn modes_agree_for_random_traffic(
         seed in any::<u64>(),
         packets in 50usize..250,
         capacity in 0usize..12,
         host_threads in 1usize..=4,
+        engines in 1usize..=3,
     ) {
         let prog = rewriting_forwarder();
-        let (slow, _) = run(
+        let (slow, _) = run_on(
+            engines,
             &prog,
             traffic_mem(packets, seed, capacity),
             SimMode::CycleSlice,
             host_threads,
             u64::MAX,
         );
-        let (fast, _) = run(
+        let (fast, _) = run_on(
+            engines,
             &prog,
             traffic_mem(packets, seed, capacity),
             SimMode::FastPath,

@@ -1,14 +1,11 @@
 //! Statistics contracts: cycle-limit partial results and channel
-//! queue-depth accounting, on both simulators, plus the observability
-//! events the instrumented entry points emit for them.
+//! queue-depth accounting, at one engine and at several, plus the
+//! observability events the instrumented entry point emits for them.
 
 use ixp_machine::{
     Addr, AluOp, AluSrc, Bank, Block, BlockId, Instr, MemSpace, PhysReg, Program, Terminator,
 };
-use ixp_sim::{
-    simulate, simulate_chip, simulate_chip_with, simulate_with, ChipConfig, SimConfig, SimMemory,
-    StopReason,
-};
+use ixp_sim::{simulate_chip, simulate_chip_with, ChipConfig, SimMemory, StopReason};
 use nova_obs::{MemoryRecorder, Obs};
 
 fn reg(b: Bank, n: u8) -> PhysReg {
@@ -42,11 +39,12 @@ fn spin_forever() -> Program<PhysReg> {
 fn cycle_limit_returns_partial_stats() {
     const LIMIT: u64 = 2_000;
     let mut mem = SimMemory::with_sizes(64, 16, 16);
-    let res = simulate(
+    let res = simulate_chip(
         &spin_forever(),
         &mut mem,
-        &SimConfig {
-            threads: 2,
+        &ChipConfig {
+            engines: 1,
+            contexts: 2,
             max_cycles: LIMIT,
             ..Default::default()
         },
@@ -72,11 +70,12 @@ fn cycle_limit_returns_partial_stats() {
     // Doubling the budget must scale the partial work: the limit is a
     // real cut-off, not an early abort.
     let mut mem2 = SimMemory::with_sizes(64, 16, 16);
-    let res2 = simulate(
+    let res2 = simulate_chip(
         &spin_forever(),
         &mut mem2,
-        &SimConfig {
-            threads: 2,
+        &ChipConfig {
+            engines: 1,
+            contexts: 2,
             max_cycles: 2 * LIMIT,
             ..Default::default()
         },
@@ -161,21 +160,12 @@ fn queue_depth_tracks_contending_requesters_per_epoch() {
     assert_eq!(four.channels[1].max_queue_depth, 0);
     assert_eq!(four.channels[2].max_queue_depth, 0);
 
-    // The per-reference single-engine simulator drives channels without
-    // arbitration epochs; its documented contract is that the depth
-    // statistic stays 0 and contention shows up as wait cycles instead.
-    let mut mem = SimMemory::with_sizes(64, 16, 16);
-    let serial = simulate(
-        &one_read,
-        &mut mem,
-        &SimConfig {
-            threads: 4,
-            max_cycles: 1 << 20,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(serial.channels[0].max_queue_depth, 0);
+    // One engine is the same model, not a special case: depth counts the
+    // requests batched in an arbitration epoch, whichever engine they
+    // come from. Its four contexts issue one cycle apart, all inside the
+    // first epoch, so the depth is the context count.
+    let serial = chip(1, 4);
+    assert_eq!(serial.channels[0].max_queue_depth, 4);
     assert!(serial.channels[0].wait_cycles > 0);
 }
 
@@ -185,11 +175,12 @@ fn instrumented_run_reports_partial_stats_as_events() {
     let rec = MemoryRecorder::new();
     let obs = Obs::new(rec.clone());
     let mut mem = SimMemory::with_sizes(64, 16, 16);
-    let res = simulate_with(
+    let res = simulate_chip_with(
         &spin_forever(),
         &mut mem,
-        &SimConfig {
-            threads: 2,
+        &ChipConfig {
+            engines: 1,
+            contexts: 2,
             max_cycles: LIMIT,
             ..Default::default()
         },

@@ -46,13 +46,12 @@ use std::time::Duration;
 pub use ilp::KernelKind;
 pub use ixp_machine::channel::{ChannelFaults, ChannelStats};
 pub use ixp_sim::{
-    big_bang_rollout, image_checksum, simulate, simulate_chip, simulate_chip_reload,
-    simulate_chip_reload_with, simulate_chip_with, simulate_topology, simulate_with,
-    staged_rollout, ChipConfig, ChipShard, DisruptionReport, EngineStats, FlowPacket, HealthSlo,
-    ImageSwap, LatencySummary, RollbackReason, RolloutConfig, RolloutFaults, RolloutOutcome,
-    RolloutReport, RxGrant, SimConfig, SimMemory, SimMode, SimResult, StageOutcome, StageReport,
-    StopReason, SwapOutcome, SwapReport, TopologyConfig, TopologyError, TopologyResult,
-    TrafficSpec, WindowHealth,
+    big_bang_rollout, image_checksum, simulate_chip, simulate_chip_reload, simulate_chip_with,
+    simulate_topology, staged_rollout, ChipConfig, ChipShard, DisruptionReport, EngineStats,
+    FlowPacket, HealthSlo, ImageSwap, LatencySummary, RollbackReason, RolloutConfig, RolloutFaults,
+    RolloutOutcome, RolloutReport, RxGrant, SimMemory, SimMode, SimResult, StageOutcome,
+    StageReport, StopReason, SwapOutcome, SwapReport, TopologyConfig, TopologyError,
+    TopologyResult, TrafficSpec, WindowHealth,
 };
 pub use nova_backend::{AllocQuality, AllocStats, FallbackPolicy};
 pub use nova_frontend::Span;
@@ -98,18 +97,7 @@ impl Default for SimSettings {
 }
 
 impl SimSettings {
-    /// Single-engine simulator configuration with these settings (the
-    /// engine count is ignored; contexts become the engine's threads).
-    pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            threads: self.contexts,
-            max_cycles: self.max_cycles,
-            faults: self.faults,
-            mode: self.mode,
-        }
-    }
-
-    /// Chip-level simulator configuration with these settings.
+    /// Simulator configuration with these settings.
     pub fn chip_config(&self) -> ChipConfig {
         ChipConfig {
             engines: self.engines,

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example crypto_gateway`.
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, Compiler};
 use workloads::{aes, AES_NOVA, HEADER_WORDS};
 
@@ -33,12 +33,14 @@ fn main() {
     for (i, w) in plaintext.iter().enumerate() {
         mem.sdram[HEADER_WORDS as usize + i] = *w;
     }
+    mem.sdram[0..2].copy_from_slice(&fast_path_header(56 + 16));
     mem.rx_queue.push_back((56 + 16, 0));
-    simulate(
-        &mem_prog(&out),
+    simulate_chip(
+        &out.prog,
         &mut mem,
-        &SimConfig {
-            threads: 1,
+        &ChipConfig {
+            engines: 1,
+            contexts: 1,
             ..Default::default()
         },
     )
@@ -67,13 +69,16 @@ fn main() {
                 for w in 0..words {
                     mem.sdram[(base + w) as usize] = p ^ (w << 8);
                 }
+                mem.sdram[base as usize..base as usize + 2]
+                    .copy_from_slice(&fast_path_header(56 + payload));
                 mem.rx_queue.push_back((56 + payload, base));
             }
-            let res = simulate(
+            let res = simulate_chip(
                 &out.prog,
                 &mut mem,
-                &SimConfig {
-                    threads,
+                &ChipConfig {
+                    engines: 1,
+                    contexts: threads,
                     max_cycles: 1 << 32,
                     ..Default::default()
                 },
@@ -87,6 +92,12 @@ fn main() {
     println!("and extra contexts hide SRAM/SDRAM latency.");
 }
 
-fn mem_prog(out: &nova::CompileOutput) -> ixp_machine::Program<ixp_machine::PhysReg> {
-    out.prog.clone()
+/// First two header words of a packet the AES program encrypts: IPv4,
+/// IHL 5, TTL 64, TCP. Anything else takes the program's slow path and is
+/// forwarded as is.
+fn fast_path_header(total_len: u32) -> [u32; 2] {
+    [
+        (4 << 28) | (5 << 24) | (total_len & 0xFFFF),
+        (64 << 24) | (6 << 16),
+    ]
 }

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example packet_classifier`.
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, Compiler};
 
 const CLASSIFIER: &str = r#"
@@ -88,11 +88,12 @@ fn main() {
     mk(&mut mem, 16, 0x45, 64, 0x222); // IPv4: slow path
     mk(&mut mem, 32, 0x60, 64, 0x111); // same flow as the first
 
-    let res = simulate(
+    let res = simulate_chip(
         &out.prog,
         &mut mem,
-        &SimConfig {
-            threads: 2,
+        &ChipConfig {
+            engines: 1,
+            contexts: 2,
             ..Default::default()
         },
     )

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use nova::{simulate, CompileConfig, Compiler, SimMemory};
+use nova::{simulate_chip, CompileConfig, Compiler, SimMemory};
 
 const PROGRAM: &str = r#"
 // Swap two pairs of SRAM words and store their sums.
@@ -20,7 +20,7 @@ fn main() {
     // 1. Compile: parse -> typecheck -> CPS -> optimize -> SSU -> select ->
     //    ILP bank assignment + transfer coloring -> A/B coloring. One
     //    builder configures the solver and the simulation shape together.
-    let cfg = CompileConfig::builder().contexts(1).build();
+    let cfg = CompileConfig::builder().engines(1).contexts(1).build();
     let compiler = Compiler::new(cfg.clone());
     let out = compiler.compile_output(PROGRAM).expect("compiles");
 
@@ -49,7 +49,7 @@ fn main() {
     //    the builder configured.
     let mut mem = SimMemory::with_sizes(512, 64, 64);
     mem.sram[100..104].copy_from_slice(&[10, 20, 30, 40]);
-    let res = simulate(&out.prog, &mut mem, &cfg.sim.sim_config()).expect("runs");
+    let res = simulate_chip(&out.prog, &mut mem, &cfg.sim.chip_config()).expect("runs");
     println!("=== execution ===");
     println!("cycles: {}, instructions: {}", res.cycles, res.instructions);
     println!("sram[200..204] = {:?}", &mem.sram[200..204]);

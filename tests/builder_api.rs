@@ -26,9 +26,6 @@ fn builder_sets_solver_and_sim_knobs() {
     assert_eq!(cfg.sim.contexts, 8);
     assert_eq!(cfg.sim.max_cycles, 12_345);
 
-    let sim = cfg.sim.sim_config();
-    assert_eq!(sim.threads, 8);
-    assert_eq!(sim.max_cycles, 12_345);
     let chip = cfg.sim.chip_config();
     assert_eq!(chip.engines, 2);
     assert_eq!(chip.contexts, 8);

@@ -2,7 +2,7 @@
 //! preserve semantics, including the unoptimized path (which exercises
 //! instruction selection's safety nets directly).
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, Compiler};
 use nova_cps::eval::{run, Machine};
 
@@ -33,11 +33,12 @@ fn run_config(cfg: &CompileConfig, seed: [u32; 2]) -> (Vec<u32>, Vec<u32>) {
     run(&out.cps, &mut oracle, 10_000_000).unwrap();
     let mut sim = SimMemory::with_sizes(256, 64, 64);
     sim.sram[0..2].copy_from_slice(&seed);
-    simulate(
+    simulate_chip(
         &out.prog,
         &mut sim,
-        &SimConfig {
-            threads: 1,
+        &ChipConfig {
+            engines: 1,
+            contexts: 1,
             max_cycles: 1 << 30,
             ..Default::default()
         },

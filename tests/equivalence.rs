@@ -3,7 +3,7 @@
 //! exactly the same architectural state (memories, CSRs, transmit log) as
 //! the CPS reference interpreter running the same program.
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, Compiler};
 use nova_cps::eval::{run, Machine};
 
@@ -23,8 +23,8 @@ fn check_equivalence(src: &str, setup: impl Fn(&mut Machine)) {
     let rx: Vec<(u32, u32)> = oracle.rx_queue.iter().copied().collect();
     run(&out.cps, &mut oracle, 50_000_000).unwrap_or_else(|e| panic!("oracle: {e}"));
 
-    // Machine code on the simulator (single-threaded so the rx/processing
-    // order matches the oracle exactly).
+    // Machine code on the simulator (one engine, one context, so the
+    // rx/processing order matches the oracle exactly).
     let mut sim = SimMemory::with_sizes(2048, 8192, 1024);
     {
         let mut m = Machine::with_sizes(2048, 8192, 1024);
@@ -35,11 +35,12 @@ fn check_equivalence(src: &str, setup: impl Fn(&mut Machine)) {
         sim.csr = m.csr;
         sim.rx_queue = rx.into_iter().collect();
     }
-    let res = simulate(
+    let res = simulate_chip(
         &out.prog,
         &mut sim,
-        &SimConfig {
-            threads: 1,
+        &ChipConfig {
+            engines: 1,
+            contexts: 1,
             max_cycles: 500_000_000,
             ..Default::default()
         },
@@ -66,6 +67,7 @@ fn check_equivalence(src: &str, setup: impl Fn(&mut Machine)) {
         cut(&sim.scratch),
         "scratch state diverged"
     );
+    assert_eq!(oracle.csr, sim.csr, "csr state diverged");
     let sim_tx: Vec<(u32, u32)> = sim.tx_log.iter().map(|(a, l, _)| (*a, *l)).collect();
     assert_eq!(oracle.tx_log, sim_tx, "tx log diverged");
 }

@@ -7,7 +7,7 @@
 //! same initial memory. Every shrunken counterexample here is a real
 //! compiler bug.
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, Compiler};
 use nova_cps::eval::{run, Machine};
 use proptest::prelude::*;
@@ -146,10 +146,10 @@ proptest! {
 
         let mut sim = SimMemory::with_sizes(512, 64, 64);
         sim.sram[0..4].copy_from_slice(&seed);
-        let res = simulate(
+        let res = simulate_chip(
             &out.prog,
             &mut sim,
-            &SimConfig { threads: 1, max_cycles: 100_000_000, ..Default::default() },
+            &ChipConfig { engines: 1, contexts: 1, max_cycles: 100_000_000, ..Default::default() },
         )
         .expect("sim runs");
         prop_assert_eq!(res.stop, ixp_sim::StopReason::AllHalted);
@@ -218,9 +218,9 @@ proptest! {
             mem
         };
         let mut one = build();
-        simulate(&out.prog, &mut one, &SimConfig { threads: 1, max_cycles: 1 << 30, ..Default::default() }).unwrap();
+        simulate_chip(&out.prog, &mut one, &ChipConfig { engines: 1, contexts: 1, max_cycles: 1 << 30, ..Default::default() }).unwrap();
         let mut four = build();
-        simulate(&out.prog, &mut four, &SimConfig { threads: 4, max_cycles: 1 << 30, ..Default::default() }).unwrap();
+        simulate_chip(&out.prog, &mut four, &ChipConfig { engines: 1, contexts: 4, max_cycles: 1 << 30, ..Default::default() }).unwrap();
         prop_assert_eq!(&one.sdram, &four.sdram);
         prop_assert_eq!(one.tx_log.len(), four.tx_log.len());
     }

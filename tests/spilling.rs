@@ -4,7 +4,7 @@
 //! extraction phase to materialize the spill stores/reloads through spare
 //! S/L registers (§9 "K and Spilling for transfer banks").
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, Compiler};
 use nova_cps::eval::{run, Machine};
 
@@ -69,11 +69,12 @@ fn forced_spills_execute_correctly() {
     for i in 0..40 {
         sim.sram[i] = (i as u32 + 1) * 17;
     }
-    simulate(
+    simulate_chip(
         &out.prog,
         &mut sim,
-        &SimConfig {
-            threads: 1,
+        &ChipConfig {
+            engines: 1,
+            contexts: 1,
             max_cycles: 1 << 30,
             ..Default::default()
         },

@@ -2,7 +2,7 @@
 //! our compiler must produce, on both execution models, exactly the packet
 //! transformations computed by the trusted Rust reference implementations.
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate_chip, ChipConfig, SimMemory};
 use nova::{CompileConfig, CompileOutput, Compiler};
 use nova_cps::eval::{run, Machine};
 use workloads::{aes, kasumi, nat, AES_NOVA, KASUMI_NOVA, NAT_NOVA};
@@ -64,11 +64,12 @@ fn run_sim(
         mem.rx_queue.push_back(((p.len() * 4) as u32, base));
         base += ((p.len() as u32) + 2) & !1;
     }
-    let res = simulate(
+    let res = simulate_chip(
         &out.prog,
         &mut mem,
-        &SimConfig {
-            threads: 1,
+        &ChipConfig {
+            engines: 1,
+            contexts: 1,
             max_cycles: 2_000_000_000,
             ..Default::default()
         },
