@@ -1,4 +1,4 @@
-//! E10 — §12's re-materialization extension. The paper: "We treat every
+//! `bench ext-remat` (E10) — §12's re-materialization extension. The paper: "We treat every
 //! individual constant as a temporary and invent a virtual register bank
 //! `C` \[of\] unlimited capacity... A move to `C` represents discarding a
 //! constant (zero cost); a move from `C` represents the load operation...
@@ -34,7 +34,7 @@ fn derivable(c1: u32, c2: u32) -> bool {
     c2.wrapping_sub(c1) < 32 || c1.wrapping_sub(c2) < 32
 }
 
-fn main() {
+pub fn run() {
     println!("E10: re-materialization with the constant bank C (§12)\n");
     let mut rows = Vec::new();
     for b in Benchmark::ALL {

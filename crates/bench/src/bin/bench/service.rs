@@ -1,35 +1,32 @@
-//! E15 — compilation as a service. Replays the seeded 1000-variant
+//! `bench service` (E15) — compilation as a service. Replays the seeded
 //! rule-update stream ([`bench::service`]) through a one-worker
 //! `nova-server` over one shared compile session, next to a cold
 //! one-shot baseline, and records warm/cold compiles per second, the
-//! warm-over-cold speedup, and the session's per-phase cache counters.
-//! Results land in `BENCH_service.json`; the counters (and the
-//! zero-mismatch bit-identity of warm vs cold artifacts) are
-//! deterministic and gated exactly, the rates get floors — see
-//! `bench::gate::gate_service`.
+//! warm-over-cold speedup, and the session's per-phase cache counters
+//! (`BENCH_service.json`). The counters (and the zero-mismatch
+//! bit-identity of warm vs cold artifacts) are deterministic and gated
+//! exactly, the rates get floors.
 //!
 //! One worker keeps the counter algebra exact; the compile is pinned to
 //! one solver thread so warm and cold allocations are bit-identical.
 
+use bench::json::Json;
 use bench::service::{run_service, service_json};
 use bench::table;
 
-/// Requests in the stream.
-const TOTAL: usize = 1000;
-/// Distinct rule-set variants (request `i` carries variant `i % 250`).
-const DISTINCT: usize = 250;
-/// Cold one-shot compiles sampled for the baseline rate.
-const COLD_SAMPLES: usize = 25;
+/// (requests, distinct rule-set variants, cold one-shot samples): request
+/// `i` carries variant `i % distinct`. Every distinct variant cold would
+/// dominate wall time; a sample is enough for a stable rate.
+const FULL: (usize, usize, usize) = (1000, 250, 25);
+const SMOKE: (usize, usize, usize) = (60, 20, 5);
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_service.json".into());
+pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
+    let (total, distinct, cold_samples) = if smoke { SMOKE } else { FULL };
     println!(
-        "Compile service: {TOTAL} requests over {DISTINCT} rule-set variants, \
-         {COLD_SAMPLES} cold one-shot samples\n"
+        "Compile service: {total} requests over {distinct} rule-set variants, \
+         {cold_samples} cold one-shot samples\n"
     );
-    let run = run_service(TOTAL, DISTINCT, COLD_SAMPLES);
+    let run = run_service(total, distinct, cold_samples);
     let s = &run.stats;
     println!(
         "{}",
@@ -65,11 +62,16 @@ fn main() {
         "warm vs cold artifacts: {} compared, {} mismatches, {} failures",
         run.cold_samples, run.mismatches, run.failures
     );
-    let doc = service_json(&run);
-    std::fs::write(&out_path, doc.pretty()).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
-    if run.mismatches > 0 || run.failures > 0 {
-        eprintln!("service bench FAILED: warm artifacts diverged from cold");
-        std::process::exit(1);
-    }
+    // The counter algebra of the stream (see `bench::service`).
+    crate::expect_counts(
+        violations,
+        &[
+            ("image hits (every repeat)", s.output_hits, total - distinct),
+            ("image misses (every first)", s.output_misses, distinct),
+            ("MILP solves (one shared structure)", s.alloc_misses, 1),
+            ("solve-free re-finishes", s.alloc_hits, distinct - 1),
+            ("refinish fallbacks", s.refinish_fallbacks, 0),
+        ],
+    );
+    service_json(&run)
 }

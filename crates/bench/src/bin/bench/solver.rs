@@ -1,9 +1,9 @@
-//! Machine-readable solver performance trajectory: compiles each §11
-//! benchmark at 1, 2, and 4 solver threads and records solve wall/CPU
-//! time, node/pivot counts, warm-start hit rates, and the allocation
-//! quality (objective, moves, spills), plus one simulator throughput
-//! sample per program. Written to `BENCH_solver.json` (repo root when run
-//! from there) so successive PRs can diff solver performance.
+//! `bench solver` — machine-readable solver performance trajectory:
+//! compiles each §11 benchmark at 1, 2, and 4 solver threads and records
+//! solve wall/CPU time, node/pivot counts, warm-start hit rates, and the
+//! allocation quality (objective, moves, spills), plus one simulator
+//! throughput sample per program (`BENCH_solver.json`), so successive
+//! PRs can diff solver performance. The smoke point is NAT at one thread.
 //!
 //! The thread sweep runs with `relative_gap = 0`, which makes the optimum
 //! unique: every thread count must report the same objective and spill
@@ -16,10 +16,12 @@ use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_solver.json".into());
+pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
+    let (benchmarks, requested): (&[Benchmark], &[usize]) = if smoke {
+        (&[Benchmark::Nat], &THREAD_SWEEP[..1])
+    } else {
+        (&Benchmark::ALL, &THREAD_SWEEP)
+    };
     let avail = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -27,13 +29,13 @@ fn main() {
     // measures scheduler interleaving and makes cpu_s/solve_s ratios
     // meaningless. The requested sweep is still recorded in the JSON so
     // a clamped file is recognizable.
-    let mut sweep: Vec<usize> = THREAD_SWEEP.iter().map(|&t| t.min(avail)).collect();
+    let mut sweep: Vec<usize> = requested.iter().map(|&t| t.min(avail)).collect();
     sweep.dedup();
-    if sweep.len() < THREAD_SWEEP.len() {
-        eprintln!("host has {avail} core(s); clamping thread sweep {THREAD_SWEEP:?} -> {sweep:?}");
+    if sweep.len() < requested.len() {
+        eprintln!("host has {avail} core(s); clamping thread sweep {requested:?} -> {sweep:?}");
     }
     let mut programs = Vec::new();
-    for b in Benchmark::ALL {
+    for &b in benchmarks {
         eprintln!("{}:", b.name());
         let mut runs = Vec::new();
         let mut last = None;
@@ -69,11 +71,11 @@ fn main() {
                     // sub-margin incumbent ties are schedule-dependent.
                     if (prev - st.objective).abs() > 5e-5 {
                         consistent = false;
-                        eprintln!(
-                            "  WARNING: objective drifted across thread counts \
-                             ({prev} vs {})",
+                        violations.push(format!(
+                            "{}: objective drifted across thread counts ({prev} vs {})",
+                            b.name(),
                             st.objective
-                        );
+                        ));
                     }
                 }
             }
@@ -97,7 +99,7 @@ fn main() {
             sim.packets, sim.cycles, sim.mbps
         );
         // `degraded` marks builds that fell down the allocator fallback
-        // ladder (stage > 0): bench_gate reports them but never gates.
+        // ladder (stage > 0): the gate reports them but never gates.
         programs.push(Json::obj([
             ("name", Json::str(b.name())),
             ("degraded", Json::Bool(out.alloc_quality.stage > 0)),
@@ -127,7 +129,7 @@ fn main() {
             ),
         ]));
     }
-    let doc = Json::obj([
+    Json::obj([
         ("bench", Json::str("solver")),
         (
             "config",
@@ -139,7 +141,7 @@ fn main() {
                 ),
                 (
                     "requested_thread_sweep",
-                    Json::Arr(THREAD_SWEEP.iter().map(|&t| Json::int(t)).collect()),
+                    Json::Arr(requested.iter().map(|&t| Json::int(t)).collect()),
                 ),
             ]),
         ),
@@ -148,7 +150,5 @@ fn main() {
             Json::obj([("available_parallelism", Json::int(avail))]),
         ),
         ("programs", Json::Arr(programs)),
-    ]);
-    std::fs::write(&out_path, doc.pretty()).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    ])
 }

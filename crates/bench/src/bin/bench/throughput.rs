@@ -1,11 +1,12 @@
-//! E4 — regenerate §11's throughput measurements, now at chip scale. The
-//! paper reports, on a 233 MHz IXP1200 with a hardware packet generator:
-//! AES 270 Mb/s at 16-byte payloads; Kasumi 320, 210, and 60 Mb/s at 8,
-//! 16, and 256-byte payloads. We run the compiled programs on the
-//! chip-level simulator, sweeping the micro-engine count from 1 to the
-//! full chip's 6, and record per-channel occupancy so the scaling knee
-//! (line rate until a memory channel saturates) is visible in the data,
-//! not just asserted. Results land in `BENCH_throughput.json`.
+//! `bench throughput` (E4) — regenerate §11's throughput measurements,
+//! now at chip scale. The paper reports, on a 233 MHz IXP1200 with a
+//! hardware packet generator: AES 270 Mb/s at 16-byte payloads; Kasumi
+//! 320, 210, and 60 Mb/s at 8, 16, and 256-byte payloads. We run the
+//! compiled programs on the chip-level simulator, sweeping the
+//! micro-engine count from 1 to the full chip's 6, and record per-channel
+//! occupancy so the scaling knee (line rate until a memory channel
+//! saturates) is visible in the data, not just asserted
+//! (`BENCH_throughput.json`). The smoke point is NAT on 2 engines.
 //!
 //! The compile is pinned to one solver thread and an exact gap so the
 //! allocated program — and therefore the deterministic chip simulation —
@@ -15,14 +16,21 @@ use bench::json::Json;
 use bench::{chip_result_json, compile, run_chip_throughput, table, Benchmark};
 use nova::{CompileConfig, StopReason};
 
+const PROGRAMS: [(Benchmark, u32); 3] = [
+    (Benchmark::Aes, 16),
+    (Benchmark::Kasumi, 16),
+    (Benchmark::Nat, 64),
+];
 const ENGINE_SWEEP: [usize; 6] = [1, 2, 3, 4, 5, 6];
 const CONTEXTS: usize = 4;
 const PACKETS: usize = 64;
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_throughput.json".into());
+pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
+    let (programs_run, engine_sweep) = if smoke {
+        (&PROGRAMS[2..], &ENGINE_SWEEP[1..2])
+    } else {
+        (&PROGRAMS[..], &ENGINE_SWEEP[..])
+    };
     println!("Throughput on the simulated 233 MHz IXP1200 ({CONTEXTS} contexts/engine)\n");
     let cfg = CompileConfig::builder()
         .solver_threads(1)
@@ -30,11 +38,7 @@ fn main() {
         .build();
     let mut programs = Vec::new();
     let mut rows = Vec::new();
-    for (b, payload) in [
-        (Benchmark::Aes, 16u32),
-        (Benchmark::Kasumi, 16),
-        (Benchmark::Nat, 64),
-    ] {
+    for &(b, payload) in programs_run {
         let out = compile(b, &cfg);
         let s = &out.alloc_stats.solve;
         println!(
@@ -46,19 +50,28 @@ fn main() {
             100.0 * s.warm_hit_rate(),
         );
         let mut sweep = Vec::new();
-        for engines in ENGINE_SWEEP {
+        for &engines in engine_sweep {
             let res = run_chip_throughput(b, &out, PACKETS, payload, engines, CONTEXTS);
-            // A cycle-limited run is not an error: its per-engine and
-            // per-channel statistics describe the completed prefix and
-            // are recorded exactly like a finished run's, with the
-            // `stop` field ("cycle-limit") and the packet count marking
-            // it as partial — in the JSON, the table, and under either
-            // scheduler mode.
+            // A cycle-limited run is still recorded: its per-engine and
+            // per-channel statistics describe the completed prefix, with
+            // the `stop` field ("cycle-limit") and the packet count
+            // marking it as partial in the JSON and the table. It is a
+            // violation all the same, as is an engine left without work.
             let packets_cell = if res.stop == StopReason::CycleLimit {
                 format!("{}/{PACKETS} (partial)", res.packets)
             } else {
                 res.packets.to_string()
             };
+            let point = format!("{} on {engines} engines", b.name());
+            if res.stop != StopReason::AllHalted || res.packets != PACKETS as u64 {
+                violations.push(format!(
+                    "{point}: {:?} after {} of {PACKETS} packets",
+                    res.stop, res.packets
+                ));
+            }
+            if res.engines.iter().any(|e| e.packets == 0) {
+                violations.push(format!("{point}: an engine processed no packets"));
+            }
             let busiest = res
                 .channels
                 .iter()
@@ -110,7 +123,7 @@ fn main() {
         })
         .collect();
         // A build that fell down the allocator ladder is still valid but
-        // not comparable: mark it so bench_gate reports without gating.
+        // not comparable: mark it so the gate reports without gating.
         programs.push(Json::obj([
             ("name", Json::str(b.name())),
             ("degraded", Json::Bool(out.alloc_quality.stage > 0)),
@@ -142,7 +155,7 @@ fn main() {
     println!("shapes to check: Mb/s scales with engine count until the busiest");
     println!("memory channel's occupancy approaches 100%, then flattens — the");
     println!("knee the paper's latency-hiding design runs into (§11).");
-    let doc = Json::obj([
+    Json::obj([
         ("bench", Json::str("throughput")),
         (
             "config",
@@ -155,14 +168,12 @@ fn main() {
                 ("packets", Json::int(PACKETS)),
                 (
                     "engine_sweep",
-                    Json::Arr(ENGINE_SWEEP.iter().map(|&e| Json::int(e)).collect()),
+                    Json::Arr(engine_sweep.iter().map(|&e| Json::int(e)).collect()),
                 ),
                 ("solver_threads", Json::int(1)),
                 ("relative_gap", Json::Num(0.0)),
             ]),
         ),
         ("programs", Json::Arr(programs)),
-    ]);
-    std::fs::write(&out_path, doc.pretty()).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    ])
 }

@@ -1,30 +1,23 @@
-//! Perf-baseline gating: diff a fresh bench artifact against its
-//! checked-in baseline with explicit per-metric tolerances.
+//! Perf-baseline gating: one walker over one declarative rule table.
 //!
-//! The CI release job regenerates `BENCH_solver.ci.json`,
-//! `BENCH_throughput.ci.json`, and `BENCH_phases.ci.json`, then runs the
-//! `bench_gate` binary over (baseline, current) pairs. The policy lives
-//! here so it is unit-testable:
+//! [`gate`] diffs a fresh bench document against its checked-in
+//! baseline. Which leaves are compared, and how, is `TABLE`: a JSON
+//! path pattern per row, mapped to a [`Rule`]. The policy:
 //!
-//! * **rates** get a relative floor — pivots/s may drop at most 20%,
-//!   simulated Mbps at most 15% — because they carry host wall-clock
-//!   noise;
-//! * **deterministic metrics** (simulated cycles/packets, solver
-//!   objective, spill counts) are gated exactly: the solver and both
-//!   simulators are bit-deterministic at fixed thread count, so any
-//!   drift is a real behavior change that should come with a baseline
-//!   regeneration in the same PR;
-//! * **wall times** (root/solve seconds, per-phase nanoseconds) are
-//!   reported as informational rows only — except the ILP phase, whose
-//!   `wall_ms` and `allocs` get explicit **ceilings**: the CSR model
-//!   generator, presolve, and pooled solver memory bought an
-//!   order-of-magnitude reduction there, and a silent regression back
-//!   to the old profile should fail CI even though it "works". The
-//!   ceilings carry generous headroom (wall time is host-noisy;
-//!   allocation counts wobble only with hash-map growth patterns), so
-//!   they trip on structural regressions, not jitter.
+//! * **deterministic metrics** (simulated cycles/packets, objectives,
+//!   cache counters, rollout reports) are `Exact` — any drift is a
+//!   behavior change that must come with a regenerated baseline;
+//! * **rates** carry host noise and get a relative `Floor`; the ILP
+//!   phase's wall time, allocation count, and pivots get a `Ceiling`;
+//! * **contracts** hold whatever the baseline says: `Zero` (artifact
+//!   mismatches, failures, spills) and `AbsFloor` (speedups, smoke
+//!   rates). These baseline-free rows are also what a writer's
+//!   `--smoke` run is held to, so smoke assertions and gate rules are
+//!   one list;
+//! * wall times are `Info`: reported, never failing.
 
 use crate::json::Json;
+use Rule::{AbsFloor, Ceiling, Exact, Floor, Info, NoIncrease, Zero};
 
 /// How much a pivots/s rate may drop before the gate fails (relative).
 pub const PIVOTS_PER_SEC_DROP: f64 = 0.20;
@@ -34,52 +27,174 @@ pub const THROUGHPUT_DROP: f64 = 0.15;
 const EXACT_REL_EPS: f64 = 1e-9;
 /// Headroom above the baseline for ILP-phase wall time (host noise).
 pub const ILP_WALL_HEADROOM: f64 = 1.0;
-/// Headroom above the baseline for ILP-phase allocation counts (these
-/// are near-deterministic at one solver thread; the slack absorbs
-/// hash-map growth-pattern wobble, not structural regressions).
+/// Headroom for ILP-phase allocation counts: near-deterministic at one
+/// solver thread; the slack absorbs hash-map growth wobble only.
 pub const ILP_ALLOCS_HEADROOM: f64 = 0.25;
-/// Headroom above the baseline for the solver pivot counter. Pivot
-/// counts are *almost* deterministic at one thread, but identical runs
-/// have been observed a few pivots apart (±3 on ~3600), so an exact
-/// gate flakes; +1% still trips on any real pricing or kernel change.
+/// Headroom for the solver pivot counter: identical runs land a few
+/// pivots apart (±3 on ~3600), so exact flakes; +1% still trips on any
+/// real pricing or kernel change.
 pub const ILP_PIVOTS_HEADROOM: f64 = 0.01;
-/// How much a host-side simulation rate (sim-cycles per host second) may
-/// drop before the gate fails. Host rates on a 1-core CI runner are far
-/// noisier than modeled metrics, so the floor is generous — it exists to
-/// catch the fast path structurally regressing to cycle-slice speed
-/// (roughly an order of magnitude on paced traffic), not 20% jitter.
+/// How much a host-side simulation rate may drop. Generous: it exists to
+/// catch the fast path regressing to cycle-slice speed (roughly an order
+/// of magnitude on paced traffic), not 20% jitter on a shared runner.
 pub const HOST_SIM_RATE_DROP: f64 = 0.5;
+/// How much the warm compile-service rate and hit rates may drop.
+pub const SERVICE_RATE_DROP: f64 = 0.20;
+/// Warm-over-cold service speedup: the acceptance bar, held as a
+/// constant so a slow-baseline regeneration cannot quietly lower it.
+pub const SERVICE_SPEEDUP_FLOOR: f64 = 5.0;
+/// Restart (warm-from-disk over cold) speedup. Warm still runs
+/// frontend/CPS/isel, so the floor sits well under the measured ~10x.
+pub const RESTART_SPEEDUP_FLOOR: f64 = 2.0;
+/// `staged_min_healthy - bang_min_healthy` on the synchronized trace:
+/// staging must keep at least one more chip serving than big-bang.
+pub const STAGING_GAIN_FLOOR: f64 = 1.0;
+/// Packets delivered on a reverted chip after service resumed: a
+/// rollback that never comes back is an outage, not a recovery.
+pub const ROLLBACK_RECOVERY_FLOOR: f64 = 1.0;
+/// Pivots/s of any exact solve. The sparse-LU kernel clears this by over
+/// 10x; it catches throughput collapse (a quadratic slip in FTRAN), not
+/// host jitter.
+const MIN_SOLVER_PPS: f64 = 1500.0;
+/// Modeled Mb/s of any chip run: 50 000 packets/s of NAT's 100-byte
+/// packets. A 2-engine NAT run clears this by over 10x; it catches
+/// scheduling/arbitration collapse.
+const MIN_CHIP_MBPS: f64 = 40.0;
+/// Host-side delivered packets/s of a traffic point, ~10x under a 1-core
+/// runner's rate; catches the fast path degenerating to cycle slicing.
+const MIN_TRAFFIC_PPS: f64 = 20_000.0;
 
 /// How a metric is compared against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rule {
+    /// Bit-deterministic metric: equal up to `1e-9` relative.
+    Exact,
     /// `current >= baseline * (1 - drop)`: rates with wall-clock noise.
-    RateFloor {
+    Floor {
         /// Maximum tolerated relative drop, e.g. `0.20`.
         drop: f64,
     },
-    /// Bit-deterministic metric: equal up to [`EXACT_REL_EPS`] relative.
-    Exact,
-    /// `current <= baseline`: counts that must not regress upward
-    /// (spills).
+    /// `current <= baseline`: counts that must not regress upward.
     NoIncrease,
-    /// `current <= baseline * (1 + headroom)`: metrics that must not
-    /// climb back above a hard-won level (ILP-phase wall time and
-    /// allocation counts).
+    /// `current <= baseline * (1 + headroom)`: hard-won levels.
     Ceiling {
         /// Tolerated relative excursion above the baseline, e.g. `0.25`.
         headroom: f64,
     },
+    /// `current >= c`, whatever the baseline says.
+    AbsFloor(f64),
+    /// `current == 0`, whatever the baseline says.
+    Zero,
     /// Reported but never failing (wall times).
     Info,
 }
 
+impl Rule {
+    /// The constant a baseline-free rule compares against.
+    fn constant(self) -> Option<f64> {
+        match self {
+            AbsFloor(c) => Some(c),
+            Zero => Some(0.0),
+            _ => None,
+        }
+    }
+}
+
+/// One table row: document kind, element path pattern, comma-separated
+/// leaf keys, rule. Path segments are `/`-separated: `member` descends
+/// into an object; `member[key]` pairs the elements of two arrays by the
+/// value of `key`; a trailing `(field=glob)` / `(field!=glob)` keeps only
+/// elements whose `field` matches (`a|b` alternatives, trailing `*`); a
+/// `?` after a member skips it when the baseline predates it.
+type Row = (&'static str, &'static str, &'static str, Rule);
+
+/// Every gated leaf of the seven `BENCH_*.json` documents. Two modifiers
+/// apply on top: an element the current run marks `"degraded": true` (a
+/// fallback-ladder build, allowed to be slower and to spill) has every
+/// rule demoted to `Info`, and the recovery floor covers only reverts
+/// (`outcome_code` 2..=4 — a checksum rejection never swaps, so its
+/// post-swap window is empty by design).
+#[rustfmt::skip]
+const TABLE: &[Row] = &[
+    // Times are informational; the objective is unique at gap 0.
+    ("solver", "programs[name]/runs[threads]", "pivots_per_sec", Floor { drop: PIVOTS_PER_SEC_DROP }),
+    ("solver", "programs[name]/runs[threads]", "pivots_per_sec", AbsFloor(MIN_SOLVER_PPS)),
+    ("solver", "programs[name]/runs[threads]", "objective", Exact),
+    ("solver", "programs[name]/runs[threads]", "spills,moves", NoIncrease),
+    ("solver", "programs[name]/runs[threads]", "spills", Zero),
+    ("solver", "programs[name]/runs[threads]", "proven_optimal", AbsFloor(1.0)),
+    ("solver", "programs[name]/runs[threads]", "solve_s,pivots", Info),
+    // Mb/s is redundant while cycles are exact, but it is the headline
+    // rate and survives a deliberate relaxation of the cycle gate.
+    ("throughput", "programs[name]/engine_sweep[engines]", "mbps", Floor { drop: THROUGHPUT_DROP }),
+    ("throughput", "programs[name]/engine_sweep[engines]", "packets,cycles", Exact),
+    ("throughput", "programs[name]/engine_sweep[engines]", "instructions", Info),
+    ("throughput", "programs[name]/engine_sweep[engines]", "mbps", AbsFloor(MIN_CHIP_MBPS)),
+    // Only the ILP phase's wall/allocs are gated: its hot-path
+    // optimizations must not silently regress; other walls are noise.
+    ("phases", "programs[name]/counters", "ilp.pivots", Ceiling { headroom: ILP_PIVOTS_HEADROOM }),
+    ("phases", "programs[name]/counters", "sim.cycles,sim.packets", Exact),
+    ("phases", "programs[name]/phases[name](name=ilp*)", "wall_ms", Ceiling { headroom: ILP_WALL_HEADROOM }),
+    ("phases", "programs[name]/phases[name](name=ilp*)", "allocs", Ceiling { headroom: ILP_ALLOCS_HEADROOM }),
+    ("phases", "programs[name]/phases[name](name!=ilp*)", "wall_ms", Info),
+    ("phases", "programs[name]/phases[name]", "alloc_mb", Info),
+    ("phases", "programs[name]/host_rate?[mode](mode=fast_path)", "sim_cycles_per_sec", Floor { drop: HOST_SIM_RATE_DROP }),
+    ("phases", "programs[name]/host_rate?[mode](mode!=fast_path)", "sim_cycles_per_sec", Info),
+    ("phases", "programs[name]/host_rate?[mode]", "wall_ms", Info),
+    // The modeled outcome of a sweep point is bit-deterministic.
+    ("traffic", "sweep[id]", "offered,delivered,dropped,sim_cycles", Exact),
+    ("traffic", "sweep[id]", "mbps", Floor { drop: THROUGHPUT_DROP }),
+    ("traffic", "sweep[id]/latency", "p50,p99", Exact),
+    ("traffic", "sweep[id]", "host_sim_cycles_per_sec", Floor { drop: HOST_SIM_RATE_DROP }),
+    ("traffic", "sweep[id]", "host_wall_ms,host_packets_per_sec", Info),
+    ("traffic", "sweep[id]", "host_packets_per_sec", AbsFloor(MIN_TRAFFIC_PPS)),
+    // The balancer feeds every shard.
+    ("traffic", "sweep[id]/shards[shard]", "delivered", AbsFloor(1.0)),
+    // The seeded one-worker stream fixes which request hits which cache.
+    ("service", "counters", "frontend_hits,frontend_misses,cps_hits,cps_misses,isel_hits,isel_misses", Exact),
+    ("service", "counters", "alloc_hits,alloc_misses,output_hits,output_misses,refinish_fallbacks", Exact),
+    ("service", "counters", "hint_offers,evict_count,evict_bytes,disk_hits,disk_misses,disk_rejects", Exact),
+    ("service", "rates", "warm_compiles_per_sec,output_hit_rate,alloc_hit_rate", Floor { drop: SERVICE_RATE_DROP }),
+    ("service", "rates", "cold_compiles_per_sec,speedup", Info),
+    ("service", "rates", "speedup", AbsFloor(SERVICE_SPEEDUP_FLOOR)),
+    // Warm artifacts are bit-identical to cold and nothing fails.
+    ("service", "", "mismatches,failures", Zero),
+    ("service", "", "warm_wall_ms,cold_wall_ms", Info),
+    // The hot-reload half is modeled; the restart half counts disk loads.
+    ("reload", "hot/sim", "cycles,packets", Exact),
+    ("reload", "hot/sim", "instructions", Info),
+    ("reload", "hot/counters", "alloc_hits,alloc_misses,refinish_fallbacks", Exact),
+    ("reload", "hot/swaps[after_packets]", "swap_cycle,first_tx_cycle,update_cycles,update_us", Exact),
+    ("reload", "hot/swaps[after_packets]", "compile_ms", Info),
+    ("reload", "hot", "base_compile_ms", Info),
+    ("reload", "restart/cold_counters", "alloc_hits,alloc_misses,disk_hits,disk_misses,disk_rejects", Exact),
+    ("reload", "restart/warm_counters", "alloc_hits,alloc_misses,disk_hits,disk_misses,disk_rejects", Exact),
+    ("reload", "restart", "mismatches,failures", Zero),
+    ("reload", "restart", "speedup,cold_wall_ms,warm_wall_ms", Info),
+    ("reload", "restart", "speedup", AbsFloor(RESTART_SPEEDUP_FLOOR)),
+    // Every modeled rollout number is deterministic.
+    ("rollout", "config", "chips,packets,swap_after,observe_packets,watchdog", Exact),
+    ("rollout", "scenarios[id]", "chips,stages_run,outcome_code,rolled_back_stage,min_healthy_chips", Exact),
+    ("rollout", "scenarios[id]", "offered,delivered,dropped,aborted_in_flight,disrupted_flows", Exact),
+    ("rollout", "scenarios[id]", "max_update_cycles,rollback_recovered", Exact),
+    ("rollout", "scenarios[id](outcome_code=2|3|4)", "rollback_recovered", AbsFloor(ROLLBACK_RECOVERY_FLOOR)),
+    ("rollout", "scenarios[id]/stages[chip]", "swap_cycle,first_tx_cycle,update_cycles,rollback_cycles", Exact),
+    ("rollout", "scenarios[id]/stages[chip]", "offered,delivered,dropped,aborted_in_flight,disrupted_flows", Exact),
+    ("rollout", "scenarios[id]/stages[chip]", "pre_delivered,during_delivered,post_delivered", Exact),
+    ("rollout", "scenarios[id]/stages[chip]", "post_p99,baseline_p99,candidate_p99", Exact),
+    ("rollout", "comparison", "staged_min_healthy,bang_min_healthy,staging_gain", Exact),
+    ("rollout", "comparison", "staging_gain", AbsFloor(STAGING_GAIN_FLOOR)),
+    // Bit-identical reports at every host thread count.
+    ("rollout", "", "determinism_mismatches", Zero),
+    ("rollout", "", "old_compile_ms,new_compile_ms,sim_wall_ms", Info),
+];
+
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct Check {
-    /// Where the metric lives, e.g. `"AES/t1/pivots_per_sec"`.
+    /// Where the metric lives, e.g. `"programs[AES]/runs[1]/objective"`.
     pub name: String,
-    /// Baseline value.
+    /// Baseline value (the rule's constant for baseline-free rules).
     pub baseline: f64,
     /// Freshly measured value.
     pub current: f64,
@@ -92,14 +207,16 @@ pub struct Check {
 impl Check {
     fn new(name: String, baseline: f64, current: f64, rule: Rule) -> Check {
         let pass = match rule {
-            Rule::RateFloor { drop } => current >= baseline * (1.0 - drop),
-            Rule::Exact => {
+            Floor { drop } => current >= baseline * (1.0 - drop),
+            Exact => {
                 let scale = baseline.abs().max(current.abs()).max(1.0);
                 (current - baseline).abs() <= EXACT_REL_EPS * scale
             }
-            Rule::NoIncrease => current <= baseline,
-            Rule::Ceiling { headroom } => current <= baseline * (1.0 + headroom),
-            Rule::Info => true,
+            NoIncrease => current <= baseline,
+            Ceiling { headroom } => current <= baseline * (1.0 + headroom),
+            AbsFloor(c) => current >= c,
+            Zero => current == 0.0,
+            Info => true,
         };
         Check {
             name,
@@ -111,7 +228,7 @@ impl Check {
     }
 }
 
-/// Gate result: every comparison made, in report order.
+/// Gate result: every comparison made, in table order.
 #[derive(Debug, Default)]
 pub struct GateReport {
     /// All checks, gating and informational.
@@ -124,7 +241,7 @@ pub struct GateReport {
 impl GateReport {
     /// Whether every gating check passed and no structural error was hit.
     pub fn passed(&self) -> bool {
-        self.errors.is_empty() && self.checks.iter().all(|c| c.pass)
+        self.failures() == 0
     }
 
     /// Number of failing checks.
@@ -132,813 +249,229 @@ impl GateReport {
         self.checks.iter().filter(|c| !c.pass).count() + self.errors.len()
     }
 
-    /// Render a GitHub-flavored markdown table of every check, then any
-    /// structural errors, then a one-line verdict.
-    pub fn markdown(&self, title: &str) -> String {
-        let mut out = format!("### {title}\n\n");
-        out.push_str("| metric | baseline | current | rule | status |\n");
-        out.push_str("|---|---:|---:|---|---|\n");
-        for c in &self.checks {
-            let rule = match c.rule {
-                Rule::RateFloor { drop } => format!("≥ −{:.0}%", drop * 100.0),
-                Rule::Exact => "exact".to_string(),
-                Rule::NoIncrease => "no increase".to_string(),
-                Rule::Ceiling { headroom } => format!("≤ +{:.0}%", headroom * 100.0),
-                Rule::Info => "info".to_string(),
-            };
-            let status = if c.rule == Rule::Info {
-                "—"
-            } else if c.pass {
-                "ok"
-            } else {
-                "**FAIL**"
-            };
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} |\n",
-                c.name,
-                fmt_val(c.baseline),
-                fmt_val(c.current),
-                rule,
-                status
-            ));
-        }
-        for e in &self.errors {
-            out.push_str(&format!("\n**ERROR**: {e}\n"));
-        }
-        out.push_str(&format!(
-            "\n{}: {} checks, {} failing\n",
-            if self.passed() { "PASS" } else { "FAIL" },
-            self.checks.len(),
-            self.failures()
-        ));
-        out
-    }
-
-    fn err(&mut self, msg: impl Into<String>) {
-        self.errors.push(msg.into());
-    }
-
-    fn compare(&mut self, name: String, base: &Json, cur: &Json, key: &str, rule: Rule) {
-        match (base.num(key), cur.num(key)) {
-            (Some(b), Some(c)) => {
-                self.checks
-                    .push(Check::new(format!("{name}/{key}"), b, c, rule));
-            }
-            (None, _) => self.err(format!("{name}: baseline is missing `{key}`")),
-            (_, None) => self.err(format!("{name}: current run is missing `{key}`")),
+    /// Record a structural error once, however many rows trip over it.
+    fn err(&mut self, msg: String) {
+        if !self.errors.contains(&msg) {
+            self.errors.push(msg);
         }
     }
 }
 
-/// Index an array of objects by the rendered value of `key`.
-fn index_by<'a>(arr: &'a [Json], key: &str) -> Vec<(String, &'a Json)> {
-    arr.iter()
-        .filter_map(|item| {
-            let id = item.get(key)?;
-            let id = match id {
-                Json::Str(s) => s.clone(),
-                Json::Num(v) => format!("{v}"),
-                _ => return None,
-            };
-            Some((id, item))
-        })
-        .collect()
+/// A scalar rendered for key matching and filters (`2`, not `2.0`).
+fn render(v: Option<&Json>) -> Option<String> {
+    match v? {
+        Json::Str(s) => Some(s.clone()),
+        Json::Num(n) => Some(format!("{n}")),
+        _ => None,
+    }
 }
 
-/// For each element of the baseline array, find the current element with
-/// the same `key` value; missing counterparts become gate errors.
-fn matched<'a>(
-    report: &mut GateReport,
-    what: &str,
-    key: &str,
-    base: Option<&'a [Json]>,
-    cur: Option<&'a [Json]>,
-) -> Vec<(String, &'a Json, &'a Json)> {
-    let (Some(base), Some(cur)) = (base, cur) else {
-        report.err(format!("{what}: missing array to match on `{key}`"));
-        return Vec::new();
+/// Does `(field=glob)` / `(field!=glob)` keep this element?
+fn keeps(filter: &str, elem: &Json) -> bool {
+    let (field, glob) = filter.split_once('=').expect("filter is field=glob");
+    let (field, want) = match field.strip_suffix('!') {
+        Some(f) => (f, false),
+        None => (field, true),
     };
-    let cur_ix = index_by(cur, key);
-    index_by(base, key)
-        .into_iter()
-        .filter_map(|(id, b)| match cur_ix.iter().find(|(cid, _)| *cid == id) {
-            Some((_, c)) => Some((id, b, *c)),
-            None => {
-                report.err(format!(
-                    "{what}: `{key}`={id} present in baseline, absent now"
-                ));
-                None
-            }
-        })
-        .collect()
+    let value = render(elem.get(field)).unwrap_or_default();
+    let hit = glob.split('|').any(|g| match g.strip_suffix('*') {
+        Some(prefix) => value.starts_with(prefix),
+        None => value == g,
+    });
+    hit == want
 }
 
-/// Is this current-run entry marked as a degraded (fallback-ladder)
-/// build? A degraded allocation is allowed to be slower and to spill —
-/// its numbers explain a run but must not be held to the perf floor, so
-/// every gating rule on it is demoted to [`Rule::Info`].
-fn degraded(cur: &Json) -> bool {
-    matches!(cur.get("degraded"), Some(Json::Bool(true)))
+/// One row being walked down a (baseline, current) pair of documents.
+struct Walk<'a> {
+    report: &'a mut GateReport,
+    keys: &'a str,
+    rule: Rule,
+    subset: bool,
 }
 
-/// Gate `BENCH_solver.json` against a fresh run: per program and thread
-/// count, pivots/s gets the −20% floor, the objective must match
-/// exactly, and moves/spills must not increase. Times are informational.
-/// Programs the current run marks `"degraded": true` are reported but
-/// never gated.
-pub fn gate_solver(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    let progs = matched(
-        &mut r,
-        "solver",
-        "name",
-        baseline.get("programs").and_then(Json::as_arr),
-        current.get("programs").and_then(Json::as_arr),
-    );
-    for (prog, b, c) in progs {
-        let demote = degraded(c);
-        let rule = |r: Rule| if demote { Rule::Info } else { r };
-        let runs = matched(
-            &mut r,
-            &prog,
-            "threads",
-            b.get("runs").and_then(Json::as_arr),
-            c.get("runs").and_then(Json::as_arr),
-        );
-        for (threads, br, cr) in runs {
-            let name = format!("{prog}/t{threads}");
-            r.compare(
-                name.clone(),
-                br,
-                cr,
-                "pivots_per_sec",
-                rule(Rule::RateFloor {
-                    drop: PIVOTS_PER_SEC_DROP,
-                }),
-            );
-            r.compare(name.clone(), br, cr, "objective", rule(Rule::Exact));
-            r.compare(name.clone(), br, cr, "spills", rule(Rule::NoIncrease));
-            r.compare(name.clone(), br, cr, "moves", rule(Rule::NoIncrease));
-            r.compare(name.clone(), br, cr, "solve_s", Rule::Info);
-            r.compare(name, br, cr, "pivots", Rule::Info);
-        }
-    }
-    r
-}
-
-/// Gate `BENCH_throughput.json` against a fresh run: per program and
-/// engine count, simulated packets and cycles are bit-deterministic and
-/// gated exactly; Mbps gets the −15% floor (redundant while cycles are
-/// exact, but it is the headline rate and survives a deliberate
-/// relaxation of the cycle gate). Programs the current run marks
-/// `"degraded": true` are reported but never gated.
-pub fn gate_throughput(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    let progs = matched(
-        &mut r,
-        "throughput",
-        "name",
-        baseline.get("programs").and_then(Json::as_arr),
-        current.get("programs").and_then(Json::as_arr),
-    );
-    for (prog, b, c) in progs {
-        let demote = degraded(c);
-        let rule = |r: Rule| if demote { Rule::Info } else { r };
-        let sweeps = matched(
-            &mut r,
-            &prog,
-            "engines",
-            b.get("engine_sweep").and_then(Json::as_arr),
-            c.get("engine_sweep").and_then(Json::as_arr),
-        );
-        for (engines, bs, cs) in sweeps {
-            let name = format!("{prog}/e{engines}");
-            r.compare(
-                name.clone(),
-                bs,
-                cs,
-                "mbps",
-                rule(Rule::RateFloor {
-                    drop: THROUGHPUT_DROP,
-                }),
-            );
-            r.compare(name.clone(), bs, cs, "packets", rule(Rule::Exact));
-            r.compare(name.clone(), bs, cs, "cycles", rule(Rule::Exact));
-            r.compare(name, bs, cs, "instructions", Rule::Info);
-        }
-    }
-    r
-}
-
-/// Gate `BENCH_phases.json` against a fresh run: the deterministic
-/// counters (simulated cycles/packets) are exact and the solver pivot
-/// count gets a [`ILP_PIVOTS_HEADROOM`] ceiling (see its doc); phase
-/// wall times and allocation volumes are informational — they explain a
-/// regression but host noise makes them unfit to gate on — except the
-/// `ilp` phase and its `ilp.*` sub-phases, whose `wall_ms` and `allocs`
-/// must stay under a ceiling ([`ILP_WALL_HEADROOM`] /
-/// [`ILP_ALLOCS_HEADROOM`] above the baseline) so the ILP hot-path
-/// optimizations cannot silently regress.
-pub fn gate_phases(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    let progs = matched(
-        &mut r,
-        "phases",
-        "name",
-        baseline.get("programs").and_then(Json::as_arr),
-        current.get("programs").and_then(Json::as_arr),
-    );
-    for (prog, b, c) in progs {
-        let counter_rules = [
-            (
-                "ilp.pivots",
-                Rule::Ceiling {
-                    headroom: ILP_PIVOTS_HEADROOM,
-                },
-            ),
-            ("sim.cycles", Rule::Exact),
-            ("sim.packets", Rule::Exact),
-        ];
-        for (key, rule) in counter_rules {
-            match (
-                b.get("counters").and_then(|x| x.num(key)),
-                c.get("counters").and_then(|x| x.num(key)),
-            ) {
-                (Some(bv), Some(cv)) => {
-                    r.checks
-                        .push(Check::new(format!("{prog}/{key}"), bv, cv, rule));
-                }
-                _ => r.err(format!("{prog}: counter `{key}` missing")),
-            }
-        }
-        let phases = matched(
-            &mut r,
-            &prog,
-            "name",
-            b.get("phases").and_then(Json::as_arr),
-            c.get("phases").and_then(Json::as_arr),
-        );
-        for (phase, bp, cp) in phases {
-            let name = format!("{prog}/phase.{phase}");
-            let ilp = phase == "ilp" || phase.starts_with("ilp.");
-            let wall_rule = if ilp {
-                Rule::Ceiling {
-                    headroom: ILP_WALL_HEADROOM,
-                }
-            } else {
-                Rule::Info
+impl Walk<'_> {
+    fn descend(&mut self, path: &[&str], name: &str, base: &Json, cur: &Json, demote: bool) {
+        let demote = demote || matches!(cur.get("degraded"), Some(Json::Bool(true)));
+        let Some((seg, rest)) = path.split_first() else {
+            return self.leaves(name, base, cur, demote);
+        };
+        let (seg, filter) = match seg.split_once('(') {
+            Some((s, f)) => (s, Some(f.trim_end_matches(')'))),
+            None => (*seg, None),
+        };
+        let (seg, key) = match seg.split_once('[') {
+            Some((s, k)) => (s, Some(k.trim_end_matches(']'))),
+            None => (seg, None),
+        };
+        let (member, optional) = match seg.strip_suffix('?') {
+            Some(m) => (m, true),
+            None => (seg, false),
+        };
+        let missing = |side: &str| format!("{side} is missing `{name}{member}`");
+        let (b, c) = match (base.get(member), cur.get(member)) {
+            (None, _) if optional => return,
+            (Some(b), Some(c)) => (b, c),
+            (None, _) => return self.report.err(missing("baseline")),
+            (_, None) => return self.report.err(missing("current run")),
+        };
+        let Some(key) = key else {
+            return self.descend(rest, &format!("{name}{member}/"), b, c, demote);
+        };
+        // Pair elements by `key`, driven from the baseline — or from the
+        // current run when it is a sub-sweep of the baseline.
+        let (Some(b), Some(c)) = (b.as_arr(), c.as_arr()) else {
+            return self.report.err(format!("`{name}{member}` is not an array"));
+        };
+        let (drive, other, side) = match self.subset {
+            true => (c, b, "baseline"),
+            false => (b, c, "current run"),
+        };
+        for d in drive {
+            let Some(id) = render(d.get(key)) else {
+                continue;
             };
-            r.compare(name.clone(), bp, cp, "wall_ms", wall_rule);
-            r.compare(name.clone(), bp, cp, "alloc_mb", Rule::Info);
-            if ilp {
-                r.compare(
-                    name,
-                    bp,
-                    cp,
-                    "allocs",
-                    Rule::Ceiling {
-                        headroom: ILP_ALLOCS_HEADROOM,
-                    },
-                );
-            }
-        }
-        // Per-mode host simulation rate (the `sim.host_rate` rows): the
-        // fast path's sim-cycles/sec gets the [`HOST_SIM_RATE_DROP`]
-        // floor so its speedup cannot silently evaporate; the
-        // cycle-slice oracle's rate and all wall times are
-        // informational. Skipped entirely for pre-fast-path baselines
-        // that don't carry the rows yet.
-        if b.get("host_rate").is_some() {
-            let rates = matched(
-                &mut r,
-                &prog,
-                "mode",
-                b.get("host_rate").and_then(Json::as_arr),
-                c.get("host_rate").and_then(Json::as_arr),
-            );
-            for (mode, br, cr) in rates {
-                let name = format!("{prog}/host_rate.{mode}");
-                let rate_rule = if mode == "fast_path" {
-                    Rule::RateFloor {
-                        drop: HOST_SIM_RATE_DROP,
-                    }
-                } else {
-                    Rule::Info
-                };
-                r.compare(name.clone(), br, cr, "sim_cycles_per_sec", rate_rule);
-                r.compare(name, br, cr, "wall_ms", Rule::Info);
+            let name = format!("{name}{member}[{id}]");
+            let Some(o) = other
+                .iter()
+                .find(|o| render(o.get(key)).as_ref() == Some(&id))
+            else {
+                self.report
+                    .err(format!("`{name}` is absent from the {side}"));
+                continue;
+            };
+            let (b, c) = if self.subset { (o, d) } else { (d, o) };
+            if filter.is_none_or(|f| keeps(f, c)) {
+                self.descend(rest, &format!("{name}/"), b, c, demote);
             }
         }
     }
-    r
+
+    fn leaves(&mut self, name: &str, base: &Json, cur: &Json, demote: bool) {
+        let num = |doc: &Json, key: &str| match doc.get(key) {
+            Some(Json::Bool(b)) => Some(f64::from(u8::from(*b))),
+            v => v.and_then(Json::as_f64),
+        };
+        // A sub-sweep runs on an arbitrary host: hold it only to the
+        // host-independent rules.
+        let noisy = self.subset && matches!(self.rule, Floor { .. } | Ceiling { .. });
+        let rule = if demote || noisy { Info } else { self.rule };
+        for key in self.keys.split(',') {
+            let name = format!("{name}{key}");
+            match (self.rule.constant().or(num(base, key)), num(cur, key)) {
+                (Some(b), Some(c)) => self.report.checks.push(Check::new(name, b, c, rule)),
+                (None, _) => self.report.err(format!("baseline is missing `{name}`")),
+                (_, None) => self.report.err(format!("current run is missing `{name}`")),
+            }
+        }
+    }
 }
 
-/// Gate `BENCH_traffic.json` against a fresh run. The modeled outcome of
-/// a traffic sweep point — packet conservation, drops, makespan cycles,
-/// and latency order statistics — is bit-deterministic, so it is gated
-/// exactly; aggregate Mb/s gets the throughput rate floor; the host-side
-/// simulation rate gets the generous [`HOST_SIM_RATE_DROP`] floor (it is
-/// the fast path's raison d'être, but a shared CI host makes it noisy);
-/// wall time and packets/sec are informational.
-pub fn gate_traffic(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    let points = matched(
-        &mut r,
-        "traffic",
-        "id",
-        baseline.get("sweep").and_then(Json::as_arr),
-        current.get("sweep").and_then(Json::as_arr),
-    );
-    for (id, b, c) in points {
-        r.compare(id.clone(), b, c, "offered", Rule::Exact);
-        r.compare(id.clone(), b, c, "delivered", Rule::Exact);
-        r.compare(id.clone(), b, c, "dropped", Rule::Exact);
-        r.compare(id.clone(), b, c, "sim_cycles", Rule::Exact);
-        r.compare(
-            id.clone(),
-            b,
-            c,
-            "mbps",
-            Rule::RateFloor {
-                drop: THROUGHPUT_DROP,
-            },
-        );
-        match (b.get("latency"), c.get("latency")) {
-            (Some(bl), Some(cl)) => {
-                let name = format!("{id}/latency");
-                r.compare(name.clone(), bl, cl, "p50", Rule::Exact);
-                r.compare(name, bl, cl, "p99", Rule::Exact);
-            }
-            _ => r.err(format!("{id}: latency summary missing")),
-        }
-        r.compare(
-            id.clone(),
-            b,
-            c,
-            "host_sim_cycles_per_sec",
-            Rule::RateFloor {
-                drop: HOST_SIM_RATE_DROP,
-            },
-        );
-        r.compare(id.clone(), b, c, "host_wall_ms", Rule::Info);
-        r.compare(id, b, c, "host_packets_per_sec", Rule::Info);
+/// Gate a fresh bench document against its baseline under the rule table; the
+/// document kind is the `"bench"` member both must agree on. With
+/// `subset`, `current` is a sub-sweep of the baseline's points taken on
+/// an arbitrary host (a `--smoke` run): elements are matched from the
+/// current side, and host-noisy rules (`Floor`, `Ceiling`) become `Info`.
+pub fn gate(baseline: &Json, current: &Json, subset: bool) -> GateReport {
+    let mut report = GateReport::default();
+    let kind = current.get("bench").and_then(Json::as_str).unwrap_or("");
+    if baseline.get("bench").and_then(Json::as_str) != Some(kind)
+        || !TABLE.iter().any(|row| row.0 == kind)
+    {
+        report.err(format!("not two bench documents of known kind `{kind}`"));
     }
-    r
-}
-
-/// How much the warm compile-service rate (and its derived hit rates)
-/// may drop before the gate fails.
-pub const SERVICE_RATE_DROP: f64 = 0.20;
-/// Absolute floor on the warm-over-cold service speedup — the ISSUE's
-/// acceptance bar, gated against this constant rather than the baseline
-/// so a slow-baseline regeneration cannot quietly lower it.
-pub const SERVICE_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Gate `BENCH_service.json` against a fresh run. The session cache
-/// counters are exactly deterministic for the seeded one-worker stream
-/// (the stream layout fixes which requests hit which phase cache), so
-/// every counter is gated exactly, as are the warm/cold artifact
-/// mismatch and failure counts (both must be zero in the current run
-/// regardless of baseline). The warm compile rate and derived hit rates
-/// get the [`SERVICE_RATE_DROP`] floor; the speedup must clear the
-/// absolute [`SERVICE_SPEEDUP_FLOOR`]; the cold rate and wall times are
-/// informational.
-pub fn gate_service(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    const COUNTERS: [&str; 17] = [
-        "frontend_hits",
-        "frontend_misses",
-        "cps_hits",
-        "cps_misses",
-        "isel_hits",
-        "isel_misses",
-        "alloc_hits",
-        "alloc_misses",
-        "output_hits",
-        "output_misses",
-        "refinish_fallbacks",
-        "hint_offers",
-        "evict_count",
-        "evict_bytes",
-        "disk_hits",
-        "disk_misses",
-        "disk_rejects",
-    ];
-    match (baseline.get("counters"), current.get("counters")) {
-        (Some(b), Some(c)) => {
-            for key in COUNTERS {
-                r.compare("service".to_string(), b, c, key, Rule::Exact);
-            }
-        }
-        _ => r.err("service: `counters` object missing"),
+    for &(_, at, keys, rule) in TABLE.iter().filter(|row| row.0 == kind) {
+        let path: Vec<&str> = at.split('/').filter(|s| !s.is_empty()).collect();
+        let mut walk = Walk {
+            report: &mut report,
+            keys,
+            rule,
+            subset,
+        };
+        walk.descend(&path, "", baseline, current, false);
     }
-    match (baseline.get("rates"), current.get("rates")) {
-        (Some(b), Some(c)) => {
-            for key in ["warm_compiles_per_sec", "output_hit_rate", "alloc_hit_rate"] {
-                r.compare(
-                    "service".to_string(),
-                    b,
-                    c,
-                    key,
-                    Rule::RateFloor {
-                        drop: SERVICE_RATE_DROP,
-                    },
-                );
-            }
-            r.compare(
-                "service".to_string(),
-                b,
-                c,
-                "cold_compiles_per_sec",
-                Rule::Info,
-            );
-            r.compare("service".to_string(), b, c, "speedup", Rule::Info);
-            match c.num("speedup") {
-                Some(s) => r.checks.push(Check::new(
-                    "service/speedup_floor".to_string(),
-                    SERVICE_SPEEDUP_FLOOR,
-                    s,
-                    Rule::RateFloor { drop: 0.0 },
-                )),
-                None => r.err("service: current run is missing `speedup`"),
-            }
-        }
-        _ => r.err("service: `rates` object missing"),
-    }
-    // Warm artifacts must be bit-identical to cold and nothing may fail,
-    // whatever the baseline says.
-    for key in ["mismatches", "failures"] {
-        match current.num(key) {
-            Some(v) => r
-                .checks
-                .push(Check::new(format!("service/{key}"), 0.0, v, Rule::Exact)),
-            None => r.err(format!("service: current run is missing `{key}`")),
-        }
-    }
-    r.compare(
-        "service".to_string(),
-        baseline,
-        current,
-        "warm_wall_ms",
-        Rule::Info,
-    );
-    r.compare(
-        "service".to_string(),
-        baseline,
-        current,
-        "cold_wall_ms",
-        Rule::Info,
-    );
-    r
-}
-
-/// Absolute floor on the restart (warm-from-disk over cold) speedup —
-/// gated against this constant rather than the baseline so a
-/// slow-baseline regeneration cannot quietly lower the bar. Warm still
-/// runs frontend/CPS/isel (only the MILP solve comes off disk), so the
-/// floor sits well under the measured ~10x.
-pub const RESTART_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Gate `BENCH_reload.json` against a fresh run.
-///
-/// The hot-reload half is modeled and bit-deterministic: the simulated
-/// cycle/packet totals, every swap's swap cycle, first post-swap
-/// transmit, and derived update latency, and the warm session's cache
-/// counters are all gated exactly. The restart half gates the disk-cache
-/// counters exactly, artifact mismatches and failures against zero
-/// regardless of baseline, and the warm-up speedup against the absolute
-/// [`RESTART_SPEEDUP_FLOOR`]. Host wall times (compiles, batch walls)
-/// are informational.
-pub fn gate_reload(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    match (baseline.get("hot"), current.get("hot")) {
-        (Some(b), Some(c)) => {
-            match (b.get("sim"), c.get("sim")) {
-                (Some(bs), Some(cs)) => {
-                    r.compare("reload/hot/sim".to_string(), bs, cs, "cycles", Rule::Exact);
-                    r.compare("reload/hot/sim".to_string(), bs, cs, "packets", Rule::Exact);
-                    r.compare(
-                        "reload/hot/sim".to_string(),
-                        bs,
-                        cs,
-                        "instructions",
-                        Rule::Info,
-                    );
-                }
-                _ => r.err("reload: hot `sim` object missing"),
-            }
-            match (b.get("counters"), c.get("counters")) {
-                (Some(bc), Some(cc)) => {
-                    for key in ["alloc_hits", "alloc_misses", "refinish_fallbacks"] {
-                        r.compare("reload/hot".to_string(), bc, cc, key, Rule::Exact);
-                    }
-                }
-                _ => r.err("reload: hot `counters` object missing"),
-            }
-            let swaps = matched(
-                &mut r,
-                "reload/hot",
-                "after_packets",
-                b.get("swaps").and_then(Json::as_arr),
-                c.get("swaps").and_then(Json::as_arr),
-            );
-            for (at, bs, cs) in swaps {
-                let name = format!("reload/swap@{at}");
-                r.compare(name.clone(), bs, cs, "swap_cycle", Rule::Exact);
-                r.compare(name.clone(), bs, cs, "first_tx_cycle", Rule::Exact);
-                r.compare(name.clone(), bs, cs, "update_cycles", Rule::Exact);
-                r.compare(name.clone(), bs, cs, "update_us", Rule::Exact);
-                r.compare(name, bs, cs, "compile_ms", Rule::Info);
-            }
-            r.compare(
-                "reload/hot".to_string(),
-                b,
-                c,
-                "base_compile_ms",
-                Rule::Info,
-            );
-        }
-        _ => r.err("reload: `hot` section missing"),
-    }
-    match (baseline.get("restart"), current.get("restart")) {
-        (Some(b), Some(c)) => {
-            for side in ["cold_counters", "warm_counters"] {
-                match (b.get(side), c.get(side)) {
-                    (Some(bc), Some(cc)) => {
-                        for key in [
-                            "alloc_hits",
-                            "alloc_misses",
-                            "disk_hits",
-                            "disk_misses",
-                            "disk_rejects",
-                        ] {
-                            r.compare(format!("reload/{side}"), bc, cc, key, Rule::Exact);
-                        }
-                    }
-                    _ => r.err(format!("reload: restart `{side}` object missing")),
-                }
-            }
-            // Disk-loaded artifacts must be bit-identical to cold and
-            // nothing may fail, whatever the baseline says.
-            for key in ["mismatches", "failures"] {
-                match c.num(key) {
-                    Some(v) => r.checks.push(Check::new(
-                        format!("reload/restart/{key}"),
-                        0.0,
-                        v,
-                        Rule::Exact,
-                    )),
-                    None => r.err(format!("reload: restart is missing `{key}`")),
-                }
-            }
-            r.compare("reload/restart".to_string(), b, c, "speedup", Rule::Info);
-            match c.num("speedup") {
-                Some(s) => r.checks.push(Check::new(
-                    "reload/restart/speedup_floor".to_string(),
-                    RESTART_SPEEDUP_FLOOR,
-                    s,
-                    Rule::RateFloor { drop: 0.0 },
-                )),
-                None => r.err("reload: restart is missing `speedup`"),
-            }
-            r.compare(
-                "reload/restart".to_string(),
-                b,
-                c,
-                "cold_wall_ms",
-                Rule::Info,
-            );
-            r.compare(
-                "reload/restart".to_string(),
-                b,
-                c,
-                "warm_wall_ms",
-                Rule::Info,
-            );
-        }
-        _ => r.err("reload: `restart` section missing"),
-    }
-    r
-}
-
-/// Minimum `staged_min_healthy - bang_min_healthy` on the synchronized
-/// trace: staging must keep at least one more chip serving through the
-/// update than the big-bang rollout does.
-pub const STAGING_GAIN_FLOOR: f64 = 1.0;
-
-/// Minimum packets delivered on a rolled-back chip after service
-/// resumed: a rollback that never comes back is an outage, not a
-/// recovery. Applied only to reverts (watchdog/SLO); a checksum
-/// rejection never swaps, so its post-swap window is empty by design.
-pub const ROLLBACK_RECOVERY_FLOOR: f64 = 1.0;
-
-/// Gate `BENCH_rollout.json` against a fresh run: every modeled rollout
-/// number — outcomes, rollback stages and reasons, swap and recovery
-/// cycles, disruption counters, the `min_healthy_chips` floor — is
-/// deterministic and must match exactly. The staged-vs-big-bang gain
-/// gets the absolute [`STAGING_GAIN_FLOOR`], revert recoveries the
-/// absolute [`ROLLBACK_RECOVERY_FLOOR`], and the host-thread
-/// determinism self-check must report zero mismatches whatever the
-/// baseline says. Compile and simulation walls are informational.
-pub fn gate_rollout(baseline: &Json, current: &Json) -> GateReport {
-    let mut r = GateReport::default();
-    match (baseline.get("config"), current.get("config")) {
-        (Some(b), Some(c)) => {
-            for key in [
-                "chips",
-                "packets",
-                "swap_after",
-                "observe_packets",
-                "watchdog",
-            ] {
-                r.compare("rollout/config".to_string(), b, c, key, Rule::Exact);
-            }
-        }
-        _ => r.err("rollout: `config` section missing"),
-    }
-
-    let scenarios = matched(
-        &mut r,
-        "rollout",
-        "id",
-        baseline.get("scenarios").and_then(Json::as_arr),
-        current.get("scenarios").and_then(Json::as_arr),
-    );
-    for (id, b, c) in scenarios {
-        let name = format!("rollout/{id}");
-        for key in [
-            "chips",
-            "stages_run",
-            "outcome_code",
-            "rolled_back_stage",
-            "min_healthy_chips",
-            "offered",
-            "delivered",
-            "dropped",
-            "aborted_in_flight",
-            "disrupted_flows",
-            "max_update_cycles",
-            "rollback_recovered",
-        ] {
-            r.compare(name.clone(), b, c, key, Rule::Exact);
-        }
-        // A revert (watchdog or SLO rollback) must restore service:
-        // the halted chip has to deliver traffic after swapping back.
-        if matches!(c.num("outcome_code"), Some(code) if (2.0..=4.0).contains(&code)) {
-            match c.num("rollback_recovered") {
-                Some(v) => r.checks.push(Check::new(
-                    format!("{name}/recovery_floor"),
-                    ROLLBACK_RECOVERY_FLOOR,
-                    v,
-                    Rule::RateFloor { drop: 0.0 },
-                )),
-                None => r.err(format!("{name}: missing `rollback_recovered`")),
-            }
-        }
-        let stages = matched(
-            &mut r,
-            &name,
-            "chip",
-            b.get("stages").and_then(Json::as_arr),
-            c.get("stages").and_then(Json::as_arr),
-        );
-        for (chip, bs, cs) in stages {
-            let name = format!("{name}/chip{chip}");
-            for key in [
-                "swap_cycle",
-                "first_tx_cycle",
-                "update_cycles",
-                "rollback_cycles",
-                "offered",
-                "delivered",
-                "dropped",
-                "aborted_in_flight",
-                "disrupted_flows",
-                "pre_delivered",
-                "during_delivered",
-                "post_delivered",
-                "post_p99",
-                "baseline_p99",
-                "candidate_p99",
-            ] {
-                r.compare(name.clone(), bs, cs, key, Rule::Exact);
-            }
-        }
-    }
-
-    match (baseline.get("comparison"), current.get("comparison")) {
-        (Some(b), Some(c)) => {
-            for key in ["staged_min_healthy", "bang_min_healthy", "staging_gain"] {
-                r.compare("rollout/comparison".to_string(), b, c, key, Rule::Exact);
-            }
-            match c.num("staging_gain") {
-                Some(g) => r.checks.push(Check::new(
-                    "rollout/comparison/staging_gain_floor".to_string(),
-                    STAGING_GAIN_FLOOR,
-                    g,
-                    Rule::RateFloor { drop: 0.0 },
-                )),
-                None => r.err("rollout: comparison is missing `staging_gain`"),
-            }
-        }
-        _ => r.err("rollout: `comparison` section missing"),
-    }
-
-    // Bit-identical reports at every host thread count, whatever the
-    // baseline says.
-    match current.num("determinism_mismatches") {
-        Some(v) => r.checks.push(Check::new(
-            "rollout/determinism_mismatches".to_string(),
-            0.0,
-            v,
-            Rule::Exact,
-        )),
-        None => r.err("rollout: missing `determinism_mismatches`"),
-    }
-
-    for key in ["old_compile_ms", "new_compile_ms", "sim_wall_ms"] {
-        r.compare("rollout".to_string(), baseline, current, key, Rule::Info);
-    }
-    r
-}
-
-fn fmt_val(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.4}")
-    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn solver_doc(pivots_per_sec: f64, objective: f64, spills: f64) -> Json {
+    /// Did exactly this check fail?
+    fn failed(r: &GateReport, name: &str) -> bool {
+        r.checks.iter().any(|c| !c.pass && c.name == name)
+    }
+
+    fn has(r: &GateReport, name: &str) -> bool {
+        r.checks.iter().any(|c| c.name == name)
+    }
+
+    fn solver_program(degraded: bool, pivots_per_sec: f64, objective: f64, spills: f64) -> Json {
         Json::parse(&format!(
-            r#"{{"bench":"solver","programs":[{{"name":"AES","runs":[
-                {{"threads":1,"pivots_per_sec":{pivots_per_sec},
+            r#"{{"bench":"solver","programs":[{{"name":"AES","degraded":{degraded},"runs":[
+                {{"threads":1,"pivots_per_sec":{pivots_per_sec},"proven_optimal":true,
                   "objective":{objective},"spills":{spills},"moves":13,
                   "solve_s":0.2,"pivots":3633}}]}}]}}"#
         ))
         .unwrap()
     }
 
+    fn solver_doc(pivots_per_sec: f64, objective: f64, spills: f64) -> Json {
+        solver_program(false, pivots_per_sec, objective, spills)
+    }
+
+    fn degraded_solver_doc(pivots_per_sec: f64, objective: f64, spills: f64) -> Json {
+        solver_program(true, pivots_per_sec, objective, spills)
+    }
+
+    const AES_T1: &str = "programs[AES]/runs[1]";
+
     #[test]
     fn identical_solver_docs_pass() {
         let doc = solver_doc(17795.8, 75.9436, 0.0);
-        let r = gate_solver(&doc, &doc);
-        assert!(r.passed(), "{}", r.markdown("solver"));
-        assert!(r.checks.iter().any(|c| c.name == "AES/t1/pivots_per_sec"));
+        let r = gate(&doc, &doc, false);
+        assert!(r.passed(), "{r:?}");
+        assert!(has(&r, &format!("{AES_T1}/pivots_per_sec")));
     }
 
     #[test]
     fn thirty_percent_pivot_rate_drop_fails() {
-        // The ISSUE's acceptance case: doctor the baseline so the fresh
-        // run sits 30% below it — past the 20% floor, the gate must fail.
+        // Doctor the baseline so the fresh run sits 30% below it — past
+        // the 20% floor, the gate must fail, on that row alone.
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = solver_doc(14_000.0, 75.9436, 0.0);
-        let r = gate_solver(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
         let failing: Vec<_> = r.checks.iter().filter(|c| !c.pass).collect();
         assert_eq!(failing.len(), 1);
-        assert_eq!(failing[0].name, "AES/t1/pivots_per_sec");
+        assert_eq!(failing[0].name, format!("{AES_T1}/pivots_per_sec"));
     }
 
     #[test]
     fn fifteen_percent_pivot_rate_drop_passes() {
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = solver_doc(17_000.0, 75.9436, 0.0);
-        assert!(gate_solver(&base, &cur).passed());
+        assert!(gate(&base, &cur, false).passed());
     }
 
     #[test]
     fn objective_drift_fails_exact_rule() {
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = solver_doc(20_000.0, 75.9437, 0.0);
-        let r = gate_solver(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name.ends_with("objective")));
+        assert!(failed(&r, &format!("{AES_T1}/objective")));
     }
 
     #[test]
     fn new_spill_fails_no_increase_rule() {
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = solver_doc(20_000.0, 75.9436, 1.0);
-        assert!(!gate_solver(&base, &cur).passed());
-    }
-
-    fn degraded_solver_doc(pivots_per_sec: f64, objective: f64, spills: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{"bench":"solver","programs":[{{"name":"AES","degraded":true,"runs":[
-                {{"threads":1,"pivots_per_sec":{pivots_per_sec},
-                  "objective":{objective},"spills":{spills},"moves":13,
-                  "solve_s":0.2,"pivots":3633}}]}}]}}"#
-        ))
-        .unwrap()
+        let r = gate(&base, &cur, false);
+        assert!(!r.passed());
+        assert!(r
+            .checks
+            .iter()
+            .any(|c| !c.pass && c.rule == NoIncrease && c.name.ends_with("spills")));
     }
 
     #[test]
@@ -947,10 +480,10 @@ mod tests {
         // — none of that fails the gate, but every row is still listed.
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = degraded_solver_doc(5_000.0, 120.0, 9.0);
-        let r = gate_solver(&base, &cur);
-        assert!(r.passed(), "{}", r.markdown("solver"));
-        assert!(r.checks.iter().all(|c| c.rule == Rule::Info));
-        assert!(r.checks.iter().any(|c| c.name == "AES/t1/spills"));
+        let r = gate(&base, &cur, false);
+        assert!(r.passed(), "{r:?}");
+        assert!(r.checks.iter().all(|c| c.rule == Info));
+        assert!(has(&r, &format!("{AES_T1}/spills")));
     }
 
     #[test]
@@ -959,7 +492,7 @@ mod tests {
         // compared against a degraded-era baseline is still gated.
         let base = degraded_solver_doc(20_000.0, 75.9436, 0.0);
         let cur = solver_doc(20_000.0, 75.9437, 0.0);
-        assert!(!gate_solver(&base, &cur).passed());
+        assert!(!gate(&base, &cur, false).passed());
     }
 
     #[test]
@@ -971,15 +504,15 @@ mod tests {
                 "cycles":99999,"instructions":78856}]}]}"#,
         )
         .unwrap();
-        let r = gate_throughput(&base, &cur);
-        assert!(r.passed(), "{}", r.markdown("throughput"));
+        let r = gate(&base, &cur, false);
+        assert!(r.passed(), "{r:?}");
     }
 
     #[test]
     fn missing_program_is_a_structural_error() {
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = Json::parse(r#"{"bench":"solver","programs":[]}"#).unwrap();
-        let r = gate_solver(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
         assert_eq!(r.errors.len(), 1);
     }
@@ -997,29 +530,32 @@ mod tests {
     fn throughput_cycle_drift_fails() {
         let base = throughput_doc(300.0, 50_000.0);
         let cur = throughput_doc(300.0, 50_001.0);
-        let r = gate_throughput(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name.ends_with("cycles")));
+        assert!(failed(&r, "programs[NAT]/engine_sweep[4]/cycles"));
     }
 
     #[test]
     fn throughput_small_rate_noise_passes() {
         let base = throughput_doc(300.0, 50_000.0);
         let cur = throughput_doc(280.0, 50_000.0);
-        assert!(gate_throughput(&base, &cur).passed());
+        assert!(gate(&base, &cur, false).passed());
     }
 
     #[test]
-    fn markdown_lists_every_check_and_verdict() {
+    fn every_check_is_listed_with_its_rule_and_verdict() {
         let base = solver_doc(20_000.0, 75.9436, 0.0);
         let cur = solver_doc(14_000.0, 75.9436, 0.0);
-        let md = gate_solver(&base, &cur).markdown("solver");
-        assert!(md.contains("| AES/t1/pivots_per_sec |"));
-        assert!(md.contains("**FAIL**"));
-        assert!(md.contains("FAIL: "));
+        let r = gate(&base, &cur, false);
+        let rate = r
+            .checks
+            .iter()
+            .find(|c| c.name == format!("{AES_T1}/pivots_per_sec"))
+            .unwrap();
+        assert_eq!((rate.baseline, rate.current), (20_000.0, 14_000.0));
+        assert_eq!(rate.rule, Floor { drop: 0.20 });
+        assert!(!rate.pass);
+        assert_eq!(r.failures(), 1);
     }
 
     #[test]
@@ -1032,13 +568,13 @@ mod tests {
             ))
             .unwrap()
         };
-        assert!(gate_phases(&doc(3633, 95900), &doc(3633, 95900)).passed());
+        assert!(gate(&doc(3633, 95900), &doc(3633, 95900), false).passed());
         // Pivots get ±1% slack (identical runs land a few pivots apart);
         // a real pricing regression still trips the ceiling.
-        assert!(gate_phases(&doc(3633, 95900), &doc(3636, 95900)).passed());
-        assert!(!gate_phases(&doc(3633, 95900), &doc(3700, 95900)).passed());
+        assert!(gate(&doc(3633, 95900), &doc(3636, 95900), false).passed());
+        assert!(!gate(&doc(3633, 95900), &doc(3700, 95900), false).passed());
         // Simulated cycles are bit-deterministic and stay exact.
-        assert!(!gate_phases(&doc(3633, 95900), &doc(3633, 95901)).passed());
+        assert!(!gate(&doc(3633, 95900), &doc(3633, 95901), false).passed());
     }
 
     fn phases_doc(ilp_wall: f64, ilp_allocs: u64, model_allocs: u64) -> Json {
@@ -1058,41 +594,31 @@ mod tests {
     fn ilp_phase_wall_and_allocs_are_gated_by_ceiling() {
         let base = phases_doc(20.0, 40_000, 9_000);
         // Identical run passes; so does one inside the headroom.
-        assert!(gate_phases(&base, &base).passed());
-        assert!(gate_phases(&base, &phases_doc(30.0, 45_000, 10_000)).passed());
+        assert!(gate(&base, &base, false).passed());
+        assert!(gate(&base, &phases_doc(30.0, 45_000, 10_000), false).passed());
         // Wall time past 2x the baseline fails.
-        let r = gate_phases(&base, &phases_doc(50.0, 40_000, 9_000));
+        let r = gate(&base, &phases_doc(50.0, 40_000, 9_000), false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "AES/phase.ilp/wall_ms"));
+        assert!(failed(&r, "programs[AES]/phases[ilp]/wall_ms"));
         // Allocation count past +25% fails, on the total and on sub-rows.
-        let r = gate_phases(&base, &phases_doc(20.0, 60_000, 9_000));
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "AES/phase.ilp/allocs"));
-        let r = gate_phases(&base, &phases_doc(20.0, 40_000, 20_000));
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "AES/phase.ilp.model/allocs"));
+        let r = gate(&base, &phases_doc(20.0, 60_000, 9_000), false);
+        assert!(failed(&r, "programs[AES]/phases[ilp]/allocs"));
+        let r = gate(&base, &phases_doc(20.0, 40_000, 20_000), false);
+        assert!(failed(&r, "programs[AES]/phases[ilp.model]/allocs"));
     }
 
     #[test]
     fn non_ilp_phase_walls_stay_informational() {
         let base = phases_doc(20.0, 40_000, 9_000);
-        // The frontend row is wildly slower in the doc; still passes.
-        let r = gate_phases(&base, &base);
+        let r = gate(&base, &base, false);
         assert!(r
             .checks
             .iter()
-            .any(|c| c.name == "AES/phase.frontend/wall_ms" && c.rule == Rule::Info));
-        assert!(!r
-            .checks
-            .iter()
-            .any(|c| c.name == "AES/phase.frontend/allocs"));
+            .any(|c| c.name == "programs[AES]/phases[frontend]/wall_ms" && c.rule == Info));
+        assert!(!has(&r, "programs[AES]/phases[frontend]/allocs"));
+        // One comparison per leaf: the ILP rows are not re-listed as info.
+        let ilp_wall = "programs[AES]/phases[ilp]/wall_ms";
+        assert_eq!(r.checks.iter().filter(|c| c.name == ilp_wall).count(), 1);
     }
 
     fn host_rate_doc(rows: &str) -> Json {
@@ -1117,19 +643,28 @@ mod tests {
         let base = host_rate_doc(&host_rate_rows(200.0e6, 15.0e6));
         // 30% host noise on the fast path passes; the oracle's rate may
         // collapse entirely without failing anything.
-        assert!(gate_phases(&base, &host_rate_doc(&host_rate_rows(140.0e6, 1.0e6))).passed());
+        assert!(gate(
+            &base,
+            &host_rate_doc(&host_rate_rows(140.0e6, 1.0e6)),
+            false
+        )
+        .passed());
         // A fast path running at a quarter of its baseline rate fails.
-        let r = gate_phases(&base, &host_rate_doc(&host_rate_rows(50.0e6, 15.0e6)));
+        let r = gate(
+            &base,
+            &host_rate_doc(&host_rate_rows(50.0e6, 15.0e6)),
+            false,
+        );
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "AES/host_rate.fast_path/sim_cycles_per_sec"));
+        assert!(failed(
+            &r,
+            "programs[AES]/host_rate[fast_path]/sim_cycles_per_sec"
+        ));
         // Baselines from before the fast path carry no host_rate rows;
         // they must not produce structural errors against newer runs
         // that do carry them.
         let old = host_rate_doc("");
-        assert!(gate_phases(&old, &base).passed());
+        assert!(gate(&old, &base, false).passed());
     }
 
     fn traffic_doc(delivered: u64, p99: u64, mbps: f64, host_rate: f64) -> Json {
@@ -1142,7 +677,8 @@ mod tests {
                   "latency":{{"count":{delivered},"p50":840,"p90":1400,"p99":{p99},"max":9001}},
                   "host_wall_ms":450.0,
                   "host_sim_cycles_per_sec":{host_rate},
-                  "host_packets_per_sec":222222.0}}]}}"#,
+                  "host_packets_per_sec":222222.0,
+                  "shards":[{{"shard":0,"delivered":50000}},{{"shard":1,"delivered":49900}}]}}]}}"#,
             dropped = 100000 - delivered,
         ))
         .unwrap()
@@ -1151,27 +687,24 @@ mod tests {
     #[test]
     fn traffic_outcome_is_gated_exactly_and_host_rate_generously() {
         let base = traffic_doc(99_900, 2_300, 310.0, 120.0e6);
-        assert!(gate_traffic(&base, &base).passed());
+        assert!(gate(&base, &base, false).passed());
         // Host-side noise is fine: 40% slower host, 10% lower Mb/s.
-        assert!(gate_traffic(&base, &traffic_doc(99_900, 2_300, 280.0, 72.0e6)).passed());
+        assert!(gate(&base, &traffic_doc(99_900, 2_300, 280.0, 72.0e6), false).passed());
         // One packet of delivery drift is a modeled-behavior change.
-        let r = gate_traffic(&base, &traffic_doc(99_899, 2_300, 310.0, 120.0e6));
+        let r = gate(&base, &traffic_doc(99_899, 2_300, 310.0, 120.0e6), false);
         assert!(!r.passed());
         // So is a shifted tail latency.
-        let r2 = gate_traffic(&base, &traffic_doc(99_900, 2_301, 310.0, 120.0e6));
-        assert!(r2
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "p100000x2/latency/p99"));
+        let r2 = gate(&base, &traffic_doc(99_900, 2_301, 310.0, 120.0e6), false);
+        assert!(failed(&r2, "sweep[p100000x2]/latency/p99"));
         // A halved host rate (past the 50% floor) fails.
-        assert!(!gate_traffic(&base, &traffic_doc(99_900, 2_300, 310.0, 48.0e6)).passed());
+        assert!(!gate(&base, &traffic_doc(99_900, 2_300, 310.0, 48.0e6), false).passed());
     }
 
     #[test]
     fn missing_traffic_sweep_point_is_a_structural_error() {
         let base = traffic_doc(99_900, 2_300, 310.0, 120.0e6);
         let cur = Json::parse(r#"{"bench":"traffic","sweep":[]}"#).unwrap();
-        let r = gate_traffic(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
         assert!(!r.errors.is_empty());
     }
@@ -1197,13 +730,23 @@ mod tests {
         .unwrap()
     }
 
+    /// The absolute-floor check on `name` (as opposed to its info row).
+    fn floor_failed(r: &GateReport, name: &str) -> bool {
+        r.checks
+            .iter()
+            .any(|c| !c.pass && c.name == name && matches!(c.rule, AbsFloor(_)))
+    }
+
     #[test]
     fn identical_service_docs_pass() {
         let doc = service_doc(6600.0, 50.0, 249, 0);
-        let r = gate_service(&doc, &doc);
-        assert!(r.passed(), "{}", r.markdown("service"));
-        assert!(r.checks.iter().any(|c| c.name == "service/alloc_hits"));
-        assert!(r.checks.iter().any(|c| c.name == "service/speedup_floor"));
+        let r = gate(&doc, &doc, false);
+        assert!(r.passed(), "{r:?}");
+        assert!(has(&r, "counters/alloc_hits"));
+        assert!(r
+            .checks
+            .iter()
+            .any(|c| c.name == "rates/speedup" && c.rule == AbsFloor(SERVICE_SPEEDUP_FLOOR)));
     }
 
     #[test]
@@ -1212,24 +755,18 @@ mod tests {
         // have): deterministic counter, exact gate, hard fail.
         let base = service_doc(6600.0, 50.0, 249, 0);
         let cur = service_doc(6600.0, 50.0, 248, 0);
-        let r = gate_service(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "service/alloc_hits"));
+        assert!(failed(&r, "counters/alloc_hits"));
     }
 
     #[test]
     fn service_warm_rate_has_a_twenty_percent_floor() {
         let base = service_doc(6600.0, 50.0, 249, 0);
-        assert!(gate_service(&base, &service_doc(5500.0, 42.0, 249, 0)).passed());
-        let r = gate_service(&base, &service_doc(4000.0, 31.0, 249, 0));
+        assert!(gate(&base, &service_doc(5500.0, 42.0, 249, 0), false).passed());
+        let r = gate(&base, &service_doc(4000.0, 31.0, 249, 0), false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "service/warm_compiles_per_sec"));
+        assert!(failed(&r, "rates/warm_compiles_per_sec"));
     }
 
     #[test]
@@ -1237,12 +774,9 @@ mod tests {
         // Both runs agree, but the speedup sits under 5x: the absolute
         // floor fails even though the baseline comparison would pass.
         let base = service_doc(600.0, 4.0, 249, 0);
-        let r = gate_service(&base, &base);
+        let r = gate(&base, &base, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "service/speedup_floor"));
+        assert!(floor_failed(&r, "rates/speedup"));
     }
 
     #[test]
@@ -1251,19 +785,16 @@ mod tests {
         // excuse one now: the current run is gated against zero.
         let base = service_doc(6600.0, 50.0, 249, 1);
         let cur = service_doc(6600.0, 50.0, 249, 1);
-        let r = gate_service(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "service/mismatches"));
+        assert!(failed(&r, "mismatches"));
     }
 
     #[test]
     fn service_missing_sections_are_structural_errors() {
         let base = service_doc(6600.0, 50.0, 249, 0);
         let cur = Json::parse(r#"{"bench":"service"}"#).unwrap();
-        let r = gate_service(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
         assert!(r.errors.len() >= 2, "{:?}", r.errors);
     }
@@ -1293,40 +824,31 @@ mod tests {
     #[test]
     fn identical_reload_docs_pass() {
         let doc = reload_doc(4246, 6, 12.0, 0);
-        let r = gate_reload(&doc, &doc);
-        assert!(r.passed(), "{}", r.markdown("reload"));
+        let r = gate(&doc, &doc, false);
+        assert!(r.passed(), "{r:?}");
+        assert!(has(&r, "hot/swaps[300]/update_cycles"));
         assert!(r
             .checks
             .iter()
-            .any(|c| c.name == "reload/swap@300/update_cycles"));
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| c.name == "reload/restart/speedup_floor"));
+            .any(|c| c.name == "restart/speedup" && c.rule == AbsFloor(RESTART_SPEEDUP_FLOOR)));
     }
 
     #[test]
     fn reload_update_latency_drift_fails_exactly() {
         // One modeled cycle of update-latency drift is a behavior change.
         let base = reload_doc(4246, 6, 12.0, 0);
-        let r = gate_reload(&base, &reload_doc(4247, 6, 12.0, 0));
+        let r = gate(&base, &reload_doc(4247, 6, 12.0, 0), false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "reload/swap@300/update_cycles"));
+        assert!(failed(&r, "hot/swaps[300]/update_cycles"));
     }
 
     #[test]
     fn reload_lost_disk_hit_fails_exactly() {
         // A solve ran on the warm side that should have come off disk.
         let base = reload_doc(4246, 6, 12.0, 0);
-        let r = gate_reload(&base, &reload_doc(4246, 5, 12.0, 0));
+        let r = gate(&base, &reload_doc(4246, 5, 12.0, 0), false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "reload/warm_counters/disk_hits"));
+        assert!(failed(&r, "restart/warm_counters/disk_hits"));
     }
 
     #[test]
@@ -1334,30 +856,24 @@ mod tests {
         // Baseline and current agree at 1.5x — under the 2x floor, the
         // absolute gate fails even though the diff is clean.
         let doc = reload_doc(4246, 6, 1.5, 0);
-        let r = gate_reload(&doc, &doc);
+        let r = gate(&doc, &doc, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "reload/restart/speedup_floor"));
+        assert!(floor_failed(&r, "restart/speedup"));
     }
 
     #[test]
     fn reload_artifact_mismatch_fails_regardless_of_baseline() {
         let doc = reload_doc(4246, 6, 12.0, 1);
-        let r = gate_reload(&doc, &doc);
+        let r = gate(&doc, &doc, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "reload/restart/mismatches"));
+        assert!(failed(&r, "restart/mismatches"));
     }
 
     #[test]
     fn reload_missing_sections_are_structural_errors() {
         let base = reload_doc(4246, 6, 12.0, 0);
         let cur = Json::parse(r#"{"bench":"reload"}"#).unwrap();
-        let r = gate_reload(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
         assert_eq!(r.errors.len(), 2, "{:?}", r.errors);
     }
@@ -1411,73 +927,101 @@ mod tests {
     #[test]
     fn identical_rollout_docs_pass() {
         let doc = rollout_doc(4214, 8633, 2, 0);
-        let r = gate_rollout(&doc, &doc);
-        assert!(r.passed(), "{}", r.markdown("rollout"));
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| c.name == "rollout/healthy/chip0/update_cycles"));
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| c.name == "rollout/wedge0/recovery_floor"));
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| c.name == "rollout/comparison/staging_gain_floor"));
+        let r = gate(&doc, &doc, false);
+        assert!(r.passed(), "{r:?}");
+        assert!(has(&r, "scenarios[healthy]/stages[0]/update_cycles"));
+        let floor_on = |name: &str, c: f64| {
+            r.checks
+                .iter()
+                .any(|k| k.name == name && k.rule == AbsFloor(c))
+        };
+        // The recovery floor covers the revert and only the revert.
+        assert!(floor_on(
+            "scenarios[wedge0]/rollback_recovered",
+            ROLLBACK_RECOVERY_FLOOR
+        ));
+        assert!(!floor_on(
+            "scenarios[healthy]/rollback_recovered",
+            ROLLBACK_RECOVERY_FLOOR
+        ));
+        assert!(floor_on("comparison/staging_gain", STAGING_GAIN_FLOOR));
     }
 
     #[test]
     fn rollout_update_latency_drift_fails_exactly() {
         let base = rollout_doc(4214, 8633, 2, 0);
-        let r = gate_rollout(&base, &rollout_doc(4215, 8633, 2, 0));
+        let r = gate(&base, &rollout_doc(4215, 8633, 2, 0), false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "rollout/healthy/max_update_cycles"));
+        assert!(failed(&r, "scenarios[healthy]/max_update_cycles"));
     }
 
     #[test]
     fn rollout_without_post_revert_recovery_fails_floor() {
         let base = rollout_doc(4214, 8633, 2, 0);
-        let r = gate_rollout(&base, &rollout_doc(4214, 0, 2, 0));
+        let r = gate(&base, &rollout_doc(4214, 0, 2, 0), false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "rollout/wedge0/recovery_floor"));
+        assert!(floor_failed(&r, "scenarios[wedge0]/rollback_recovered"));
     }
 
     #[test]
     fn rollout_determinism_mismatch_fails_regardless_of_baseline() {
         let doc = rollout_doc(4214, 8633, 2, 1);
-        let r = gate_rollout(&doc, &doc);
+        let r = gate(&doc, &doc, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "rollout/determinism_mismatches"));
+        assert!(failed(&r, "determinism_mismatches"));
     }
 
     #[test]
     fn rollout_zero_staging_gain_fails_floor() {
         let doc = rollout_doc(4214, 8633, 0, 0);
-        let r = gate_rollout(&doc, &doc);
+        let r = gate(&doc, &doc, false);
         assert!(!r.passed());
-        assert!(r
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.name == "rollout/comparison/staging_gain_floor"));
+        assert!(floor_failed(&r, "comparison/staging_gain"));
     }
 
     #[test]
     fn rollout_missing_sections_are_structural_errors() {
         let base = rollout_doc(4214, 8633, 2, 0);
         let cur = Json::parse(r#"{"bench":"rollout"}"#).unwrap();
-        let r = gate_rollout(&base, &cur);
+        let r = gate(&base, &cur, false);
         assert!(!r.passed());
         assert!(!r.errors.is_empty(), "{:?}", r.errors);
+    }
+
+    #[test]
+    fn mismatched_or_unknown_document_kinds_are_structural_errors() {
+        let solver = solver_doc(20_000.0, 75.9436, 0.0);
+        let service = service_doc(6600.0, 50.0, 249, 0);
+        assert!(!gate(&solver, &service, false).passed());
+        let unknown = Json::parse(r#"{"bench":"nope"}"#).unwrap();
+        assert!(!gate(&unknown, &unknown, false).passed());
+    }
+
+    #[test]
+    fn a_sub_sweep_is_matched_from_its_own_points_on_host_independent_rules() {
+        // The smoke shape: the current run carries one of the baseline's
+        // two programs, on a host half as fast.
+        let base = Json::parse(
+            r#"{"bench":"solver","programs":[
+              {"name":"AES","runs":[{"threads":1,"pivots_per_sec":20000,"proven_optimal":true,
+                "objective":75.9436,"spills":0,"moves":13,"solve_s":0.2,"pivots":3633}]},
+              {"name":"NAT","runs":[{"threads":1,"pivots_per_sec":80000,"proven_optimal":true,
+                "objective":32.9167,"spills":0,"moves":5,"solve_s":0.02,"pivots":900}]}]}"#,
+        )
+        .unwrap();
+        let cur = solver_doc(9_000.0, 75.9436, 0.0);
+        assert!(!gate(&base, &cur, false).passed(), "NAT is missing");
+        let r = gate(&base, &cur, true);
+        assert!(r.passed(), "{r:?}");
+        // Deterministic rows still bite, and so do the absolute floors.
+        assert!(!gate(&base, &solver_doc(9_000.0, 75.9437, 0.0), true).passed());
+        assert!(floor_failed(
+            &gate(&base, &solver_doc(900.0, 75.9436, 0.0), true),
+            &format!("{AES_T1}/pivots_per_sec")
+        ));
+        // A point the baseline never had cannot be vouched for.
+        let stray = Json::parse(r#"{"bench":"solver","programs":[{"name":"DES","runs":[]}]}"#);
+        assert!(!gate(&base, &stray.unwrap(), true).passed());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benches. See EXPERIMENTS.md for the experiment-to-binary index.
+//! Shared harness behind the `bench` CLI (`cargo run --release -p bench --
+//! <scenario>`). See EXPERIMENTS.md for the experiment-to-subcommand index.
 
 #![warn(missing_docs)]
 
@@ -302,16 +302,6 @@ pub fn run_traffic_spec(
     (res, start.elapsed())
 }
 
-/// [`run_traffic_spec`] over the canonical [`traffic_spec`] trace.
-pub fn run_traffic(
-    out: &CompileOutput,
-    packets: usize,
-    chips: usize,
-    mode: SimMode,
-) -> (TopologyResult, std::time::Duration) {
-    run_traffic_spec(out, &traffic_spec(packets), chips, mode)
-}
-
 /// JSON view of one traffic sweep point: modeled drop/latency/throughput
 /// plus the host-side simulation rate that motivated the fast path.
 /// `id` keys the point for the gate (e.g. `p100000x2`,
@@ -380,9 +370,9 @@ pub fn traffic_result_json(
 /// Minimal JSON construction and parsing for machine-readable bench
 /// artifacts (`BENCH_solver.json`, `BENCH_phases.json`). Hand-rolled
 /// because the workspace carries no serde; covers exactly what the bench
-/// binaries need: objects, arrays, strings, numbers, and booleans,
+/// scenarios need: objects, arrays, strings, numbers, and booleans,
 /// pretty-printed with stable key order, plus a strict parser for the
-/// gate binary that diffs checked-in baselines against fresh runs.
+/// gate that diffs checked-in baselines against fresh runs.
 pub mod json {
     /// A JSON value.
     #[derive(Debug, Clone)]

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 
-/// Rule-stream seed shared by the bench and smoke binaries.
+/// Rule-stream seed shared by the reload and rollout scenarios.
 pub const RELOAD_SEED: u64 = 0x0E10_AD00;
 
 /// The compile configuration of both measurements: one solver thread so
@@ -264,7 +264,7 @@ pub fn run_restart(variants: usize, persist_dir: &Path) -> RestartRun {
 
 /// A scratch directory for one persistence run, removed on drop.
 /// Uniqueness comes from the process id plus a caller tag — enough for
-/// the bench/smoke binaries, which own their tags.
+/// the `bench` scenarios, which own their tags.
 pub struct ScratchDir(PathBuf);
 
 impl ScratchDir {

@@ -37,25 +37,19 @@ use nova::{CompileOutput, Compiler};
 use std::time::{Duration, Instant};
 use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 
-/// Chips in the rack under rollout.
-pub const ROLLOUT_CHIPS: usize = 3;
-/// Packets in the paced and microburst traces.
-pub const ROLLOUT_PACKETS: usize = 30_000;
-/// Per-shard transmitted-packet threshold arming each stage's swap.
-pub const SWAP_AFTER: u64 = 2_000;
-/// Observation window (transmitted packets) before a rollback swaps back.
-pub const OBSERVE_PACKETS: u64 = 2_000;
 /// No-transmit watchdog window armed on every swap.
 pub const WATCHDOG_CYCLES: u64 = 1 << 16;
 
-/// The canonical rollout configuration of the bench and smoke binaries:
-/// the traffic topology's chips in fast-path mode, checksum validation
-/// on, the watchdog armed, default health SLOs.
-pub fn rollout_config(chips: usize) -> RolloutConfig {
+/// The canonical rollout configuration: the traffic topology's chips in
+/// fast-path mode, checksum validation on, the watchdog armed, default
+/// health SLOs. `window` is both the per-shard transmitted-packet
+/// threshold arming each stage's swap and the observation window before
+/// a rollback swaps back.
+pub fn rollout_config(chips: usize, window: u64) -> RolloutConfig {
     RolloutConfig {
         topology: traffic_topology(chips, SimMode::FastPath),
-        swap_after: SWAP_AFTER,
-        observe_packets: OBSERVE_PACKETS,
+        swap_after: window,
+        observe_packets: window,
         watchdog: WATCHDOG_CYCLES,
         ..RolloutConfig::default()
     }
@@ -121,6 +115,8 @@ pub struct RolloutBench {
     pub chips: usize,
     /// Packets in the paced/microburst traces.
     pub packets: usize,
+    /// Swap threshold and observation window, in transmitted packets.
+    pub window: u64,
     /// Host wall of the cold (old image) compile.
     pub old_compile_wall: Duration,
     /// Host wall of the warm (new image) recompile.
@@ -150,18 +146,20 @@ impl RolloutBench {
     }
 }
 
-/// Run the full rollout measurement. Every scenario is deterministic;
-/// the only host-noisy outputs are the compile and simulation walls.
+/// Run the rollout measurement over a rack of `chips` under `packets`
+/// of traffic (see [`rollout_config`] for `window`). Every scenario is
+/// deterministic; the only host-noisy outputs are the compile and
+/// simulation walls.
 ///
 /// # Panics
 ///
 /// Panics if a compile or simulation fails — the images and traces are
 /// known-good, so either is harness breakage rather than a measurement.
-pub fn run_rollout_bench() -> RolloutBench {
+pub fn run_rollout_bench(chips: usize, packets: usize, window: u64) -> RolloutBench {
     let (old, new, old_compile_wall, new_compile_wall) = classifier_images();
-    let paced = traffic_spec(ROLLOUT_PACKETS).generate();
-    let burst = microburst_spec(ROLLOUT_PACKETS).generate();
-    let synced = synchronized_trace(ROLLOUT_CHIPS, 200, 200);
+    let paced = traffic_spec(packets).generate();
+    let burst = microburst_spec(packets).generate();
+    let synced = synchronized_trace(chips, 200, 200);
 
     let start = Instant::now();
     let staged = |cfg: &RolloutConfig, trace: &[FlowPacket]| -> RolloutReport {
@@ -172,14 +170,14 @@ pub fn run_rollout_bench() -> RolloutBench {
     let mut scenarios = Vec::new();
 
     // Healthy staged rollout under paced traffic.
-    let base_cfg = rollout_config(ROLLOUT_CHIPS);
+    let base_cfg = rollout_config(chips, window);
     scenarios.push(Scenario {
         id: "healthy",
         report: staged(&base_cfg, &paced),
     });
 
     // A wedged image on stage 0: watchdog rollback, measured recovery.
-    let mut wedge_cfg = rollout_config(ROLLOUT_CHIPS);
+    let mut wedge_cfg = rollout_config(chips, window);
     wedge_cfg.faults = RolloutFaults {
         wedge_stages: vec![0],
         ..RolloutFaults::default()
@@ -191,7 +189,7 @@ pub fn run_rollout_bench() -> RolloutBench {
 
     // A corrupt image on stage 1: rejected at the barrier, stage 0
     // already committed, stage 2 never starts.
-    let mut corrupt_cfg = rollout_config(ROLLOUT_CHIPS);
+    let mut corrupt_cfg = rollout_config(chips, window);
     corrupt_cfg.faults = RolloutFaults {
         corrupt_stages: vec![1],
         ..RolloutFaults::default()
@@ -204,7 +202,7 @@ pub fn run_rollout_bench() -> RolloutBench {
     // Microburst traffic: line-rate bursts slam one shard's shallow
     // buffer at a time; the SLO gates are opened so drop-rate deltas
     // from burst phasing don't roll the comparison back.
-    let mut burst_cfg = rollout_config(ROLLOUT_CHIPS);
+    let mut burst_cfg = rollout_config(chips, window);
     burst_cfg.slo = HealthSlo {
         max_drop_delta: 0.25,
         max_p99_factor: 8.0,
@@ -222,7 +220,7 @@ pub fn run_rollout_bench() -> RolloutBench {
     // Synchronized trace: the staged-vs-big-bang availability story,
     // with a long store rewrite widening the outage windows and the
     // gates opened (the tiny trace makes rate deltas meaningless).
-    let mut sync_cfg = rollout_config(ROLLOUT_CHIPS);
+    let mut sync_cfg = rollout_config(chips, window);
     sync_cfg.swap_after = 40;
     sync_cfg.observe_packets = 60;
     sync_cfg.stall = 8_192;
@@ -265,8 +263,9 @@ pub fn run_rollout_bench() -> RolloutBench {
     let sim_wall = start.elapsed();
 
     RolloutBench {
-        chips: ROLLOUT_CHIPS,
-        packets: ROLLOUT_PACKETS,
+        chips,
+        packets,
+        window,
         old_compile_wall,
         new_compile_wall,
         scenarios,
@@ -390,8 +389,8 @@ pub fn rollout_json(b: &RolloutBench) -> Json {
             Json::obj([
                 ("chips", Json::int(b.chips)),
                 ("packets", Json::int(b.packets)),
-                ("swap_after", Json::int(SWAP_AFTER as usize)),
-                ("observe_packets", Json::int(OBSERVE_PACKETS as usize)),
+                ("swap_after", Json::int(b.window as usize)),
+                ("observe_packets", Json::int(b.window as usize)),
                 ("watchdog", Json::int(WATCHDOG_CYCLES as usize)),
             ]),
         ),

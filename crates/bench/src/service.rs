@@ -28,7 +28,7 @@ use nova_server::{CompileRequest, Server, ServerConfig};
 use std::time::{Duration, Instant};
 use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 
-/// Stream seed shared by the bench and smoke binaries so their rule
+/// Stream seed shared by the full and smoke scales so their rule
 /// sets — and therefore their cache counters — are reproducible.
 pub const SERVICE_SEED: u64 = 0x00C0_FFEE;
 

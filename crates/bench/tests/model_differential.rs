@@ -89,6 +89,18 @@ fn assert_structurally_equal(p: &Problem, q: &Problem, what: &str) {
     }
 }
 
+/// Objectives are compared to within twice the default fathoming margin
+/// (`BranchConfig::fathom_abs`), the convention `tests/determinism.rs`
+/// documents: at `relative_gap = 0` a node whose bound sits inside the
+/// margin of the incumbent is pruned, so which of two sub-margin ties
+/// becomes the incumbent depends on the thread schedule. On a 2-core
+/// host NAT reports 32.916695878… and 32.916702672… (Δ 6.8e-6) for the
+/// same model — equal optima as far as the solver can tell, and far
+/// below the ≥ 1e-2 by which genuinely different allocations differ.
+fn same_objective(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 2.0 * BranchConfig::default().fathom_abs
+}
+
 fn exact(threads: usize) -> BranchConfig {
     let mut cfg = BranchConfig::default().with_threads(threads);
     cfg.relative_gap = 0.0;
@@ -96,7 +108,8 @@ fn exact(threads: usize) -> BranchConfig {
 }
 
 /// Solve both problems at 1/2/4 threads and demand the same objective
-/// (exact gap ⇒ the optimum is unique) and mutually feasible solutions.
+/// (exact gap ⇒ the optimum is unique up to the fathoming margin) and
+/// mutually feasible solutions.
 fn assert_same_solve(p: &Problem, q: &Problem, what: &str) {
     for threads in [1usize, 2, 4] {
         let a = solve_milp(p, &exact(threads))
@@ -104,7 +117,7 @@ fn assert_same_solve(p: &Problem, q: &Problem, what: &str) {
         let b = solve_milp(q, &exact(threads))
             .unwrap_or_else(|e| panic!("{what}: rebuilt model at {threads} threads: {e}"));
         assert!(
-            (a.objective - b.objective).abs() < 1e-6,
+            same_objective(a.objective, b.objective),
             "{what} at {threads} threads: CSR {} vs expr-tree {}",
             a.objective,
             b.objective
@@ -127,7 +140,7 @@ fn assert_presolve_transparent(p: &Problem, what: &str) {
             .unwrap_or_else(|e| panic!("{what}: cuts off at {threads} threads: {e}"));
         for (label, got) in [("presolve off", &off), ("cuts off", &no_cuts)] {
             assert!(
-                (on.objective - got.objective).abs() < 1e-6,
+                same_objective(on.objective, got.objective),
                 "{what} at {threads} threads: {label} gave {} vs {}",
                 got.objective,
                 on.objective

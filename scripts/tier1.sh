@@ -1,81 +1,39 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything a PR must keep green.
 #
-#   scripts/tier1.sh                build + full test suite
-#   scripts/tier1.sh --lint         also run rustfmt --check and clippy
-#                                   with warnings denied (mirrors CI's
-#                                   lint job)
-#   scripts/tier1.sh --bench        also regenerate BENCH_solver.json
-#                                   (release-mode ILP solves; several minutes)
-#   scripts/tier1.sh --bench-smoke  also run one small release-mode solve
-#                                   and fail if pivots/sec drops below the
-#                                   floor (MIN_PPS below; ~a minute)
-#   scripts/tier1.sh --chip-smoke   also run a 2-engine NAT chip simulation
-#                                   and fail if it loses packets or modeled
-#                                   packets/sec drops below the floor
-#                                   (MIN_CHIP_PPS below; seconds)
-#   scripts/tier1.sh --degrade-smoke  also compile every workload under a
-#                                   50 ms solver deadline with the fallback
-#                                   ladder and fail on any compile failure
-#                                   (the never-fail contract; seconds)
-#   scripts/tier1.sh --traffic-smoke  also run a 100k-packet 2-chip traffic
-#                                   sweep in fast-path mode, checked against
-#                                   the BENCH_traffic.json baseline, with a
-#                                   host-side packets/sec floor
-#                                   (MIN_TRAFFIC_PPS below; seconds)
-#   scripts/tier1.sh --service-smoke  also replay a 60-request rule-update
-#                                   stream through the compile service and
-#                                   fail on any cache-counter drift, any
-#                                   warm/cold artifact mismatch, or a warm
-#                                   speedup below 2x (seconds)
-#   scripts/tier1.sh --persist-smoke  also exercise the on-disk artifact
-#                                   cache: compile, drop the session,
-#                                   restart from the cache directory, and
-#                                   fail on any disk-counter drift, any
-#                                   warm/cold artifact difference, or a
-#                                   corrupted entry not degrading to a
-#                                   clean miss (seconds)
-#   scripts/tier1.sh --rollout-smoke  also run a scaled-down staged-rollout
-#                                   fault campaign: healthy commit with
-#                                   packet conservation, watchdog rollback
-#                                   of a wedged image, checksum rejection
-#                                   of a corrupt image, bit-identical
-#                                   reports across host threads (seconds)
+#   scripts/tier1.sh          build + full test suite
+#   scripts/tier1.sh --lint   also run rustfmt --check and clippy with
+#                             warnings denied (mirrors CI's lint job)
+#   scripts/tier1.sh --smoke  also run every `bench` writer scenario at
+#                             its small fixed scale in release mode:
+#                             exits non-zero on a violated scenario
+#                             invariant, a failing baseline-free row of
+#                             the gate's rule table (zero mismatches,
+#                             absolute rate and speedup floors), or
+#                             modeled drift of a smoke point from its row
+#                             in the checked-in BENCH_*.json (seconds)
 #
-# Flags combine: `scripts/tier1.sh --lint --bench-smoke --chip-smoke`
-# runs those extras after the build and test suite.
+# Flags combine. The floors and their reasons live in one place, the rule
+# table in crates/bench/src/gate.rs; `bench <writer>` without --smoke
+# regenerates BENCH_<writer>.json, `bench gate` diffs two of them.
 #
 # The test suite runs in the default (debug) profile, where
 # benchmark-sized ILP solves are marked #[ignore]; the release build is
 # still exercised so optimized-path regressions are caught at compile
-# time, and `--bench` runs the heavy solves for real.
+# time, and CI's release job runs the heavy solves for real.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_lint=0
-run_bench=0
-run_bench_smoke=0
-run_chip_smoke=0
-run_degrade_smoke=0
-run_traffic_smoke=0
-run_service_smoke=0
-run_persist_smoke=0
-run_rollout_smoke=0
+run_smoke=0
 for arg in "$@"; do
     case "$arg" in
-        --lint)          run_lint=1 ;;
-        --bench)         run_bench=1 ;;
-        --bench-smoke)   run_bench_smoke=1 ;;
-        --chip-smoke)    run_chip_smoke=1 ;;
-        --degrade-smoke) run_degrade_smoke=1 ;;
-        --traffic-smoke) run_traffic_smoke=1 ;;
-        --service-smoke) run_service_smoke=1 ;;
-        --persist-smoke) run_persist_smoke=1 ;;
-        --rollout-smoke) run_rollout_smoke=1 ;;
+        --lint)  run_lint=1 ;;
+        --smoke) run_smoke=1 ;;
         *)
             echo "unknown flag: $arg" >&2
-            echo "usage: scripts/tier1.sh [--lint] [--bench] [--bench-smoke] [--chip-smoke] [--degrade-smoke] [--traffic-smoke] [--service-smoke] [--persist-smoke] [--rollout-smoke]" >&2
+            echo "usage: scripts/tier1.sh [--lint] [--smoke]" >&2
             exit 2
             ;;
     esac
@@ -97,61 +55,11 @@ if [[ "$run_lint" == 1 ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
-if [[ "$run_bench" == 1 ]]; then
-    echo "== perf trajectory (release) =="
-    cargo run --release -p bench --bin perf_trajectory -- BENCH_solver.json
-fi
-
-# Pivot-throughput floor for the smoke solve (NAT, 1 thread, exact gap).
-# The sparse-LU kernel clears this by more than an order of magnitude;
-# the floor exists to catch throughput collapse, not host jitter.
-MIN_PPS=1500
-
-if [[ "$run_bench_smoke" == 1 ]]; then
-    echo "== bench smoke (release, floor ${MIN_PPS} pivots/s) =="
-    cargo run --release -p bench --bin bench_smoke -- --min-pps "${MIN_PPS}"
-fi
-
-# Modeled packets-per-second floor for the chip smoke (NAT, 2 engines,
-# 4 contexts). The measured rate clears this by well over an order of
-# magnitude; the floor catches scheduling/arbitration collapse.
-MIN_CHIP_PPS=50000
-
-if [[ "$run_chip_smoke" == 1 ]]; then
-    echo "== chip smoke (release, 2-engine NAT, floor ${MIN_CHIP_PPS} pkt/s) =="
-    cargo run --release -p bench --bin chip_smoke -- --min-pps "${MIN_CHIP_PPS}"
-fi
-
-if [[ "$run_degrade_smoke" == 1 ]]; then
-    echo "== degrade smoke (release, 50 ms deadline, fallback ladder) =="
-    cargo run --release -p bench --bin degrade_smoke
-fi
-
-# Host-side delivered-packets-per-second floor for the traffic smoke
-# (NAT, 100k packets, 2 chips, fast-path mode). The 1-core CI runner
-# clears this by roughly an order of magnitude; the floor catches the
-# fast path degenerating to cycle-slice speed, not host jitter.
-MIN_TRAFFIC_PPS=20000
-
-if [[ "$run_traffic_smoke" == 1 ]]; then
-    echo "== traffic smoke (release, 100k packets x 2 chips, floor ${MIN_TRAFFIC_PPS} pkt/s) =="
-    cargo run --release -p bench --bin traffic_smoke -- \
-        --min-pps "${MIN_TRAFFIC_PPS}" --baseline BENCH_traffic.json
-fi
-
-if [[ "$run_service_smoke" == 1 ]]; then
-    echo "== service smoke (release, 60-request stream, exact cache counters) =="
-    cargo run --release -p bench --bin service_smoke
-fi
-
-if [[ "$run_persist_smoke" == 1 ]]; then
-    echo "== persist smoke (release, cold/restart/corrupt, exact disk counters) =="
-    cargo run --release -p bench --bin persist_smoke
-fi
-
-if [[ "$run_rollout_smoke" == 1 ]]; then
-    echo "== rollout smoke (release, staged rollout under injected swap faults) =="
-    cargo run --release -p bench --bin rollout_smoke
+if [[ "$run_smoke" == 1 ]]; then
+    for scenario in solver throughput phases traffic service reload rollout; do
+        echo "== bench $scenario --smoke (release) =="
+        cargo run --release -q -p bench -- "$scenario" --smoke
+    done
 fi
 
 echo "tier-1 OK"

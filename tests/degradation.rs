@@ -148,6 +148,38 @@ fn degraded_code_is_context_safe() {
     }
 }
 
+/// Degraded is never dead: under a solver deadline no benchmark-sized
+/// ILP can meet, every checked-in workload still compiles, and the image
+/// — whichever ladder rung produced it — transmits every packet on a
+/// multi-engine, multi-context chip instead of livelocking or dropping.
+#[test]
+fn every_workload_runs_all_packets_when_compiled_under_a_50ms_deadline() {
+    use bench::Benchmark;
+    use ixp_sim::{simulate_chip, ChipConfig, StopReason};
+
+    let compiler = Compiler::new(config(Duration::from_millis(50), FallbackPolicy::Ladder));
+    for b in Benchmark::ALL {
+        let out = compiler
+            .compile_output(b.source())
+            .unwrap_or_else(|e| panic!("{}: ladder must not fail: {e}", b.name()));
+        let mut mem = bench::setup_memory(b, 8, 16);
+        let cfg = ChipConfig {
+            engines: 2,
+            contexts: 4,
+            max_cycles: 50_000_000,
+            ..ChipConfig::default()
+        };
+        let res = simulate_chip(&out.prog, &mut mem, &cfg).expect("chip sim");
+        assert_eq!(
+            res.stop,
+            StopReason::AllHalted,
+            "{} must complete",
+            b.name()
+        );
+        assert_eq!(res.packets, 8, "{} must tx all packets", b.name());
+    }
+}
+
 proptest! {
     // Each case is a full debug-mode compile; keep the sweep small.
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -109,6 +109,12 @@ fn truncated_cache_file_is_a_clean_miss() {
     assert_eq!(s.disk_hits, 0);
     assert_eq!(s.alloc_misses, 1, "a clean full solve recovered");
     assert!(rebuilt.artifact_eq(&cold));
+
+    // The recovery solve re-persisted a good entry: the next restart hits.
+    let healed = Compiler::new(cfg(Some(&dir)));
+    let again = healed.compile_output(&src).expect("compiles");
+    assert_eq!(healed.cache_stats().disk_hits, 1);
+    assert!(again.artifact_eq(&cold));
 }
 
 #[test]
