@@ -205,13 +205,9 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
         let report =
             nova::compile(b.source(), &cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         let mut mem = setup_memory(b, PACKETS, payload);
-        let res = simulate_chip_with(
-            &report.artifact.prog,
-            &mut mem,
-            &cfg.sim.chip_config(),
-            &obs,
-        )
-        .expect("chip simulation runs");
+        let chip = ChipConfig::default();
+        let res = simulate_chip_with(&report.artifact.prog, &mut mem, &chip, &obs)
+            .expect("chip simulation runs");
         let summary = rec.summary();
         let allocs = phase_alloc.totals();
 
@@ -281,14 +277,8 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
             (SimMode::FastPath, "fast_path"),
             (SimMode::CycleSlice, "cycle_slice"),
         ] {
-            let (row, story, wall_ms, rate) = host_rate_row(
-                b,
-                &report.artifact.prog,
-                payload,
-                &cfg.sim.chip_config(),
-                mode,
-                name,
-            );
+            let (row, story, wall_ms, rate) =
+                host_rate_row(b, &report.artifact.prog, payload, &chip, mode, name);
             println!(
                 "  sim.host_rate {name}: {wall_ms:.1} ms host, \
                  {:.1}M sim-cycles/s ({RATE_PACKETS} paced packets)",

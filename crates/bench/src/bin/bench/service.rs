@@ -2,7 +2,7 @@
 //! rule-update stream ([`bench::service`]) through a one-worker
 //! `nova-server` over one shared compile session, next to a cold
 //! one-shot baseline, and records warm/cold compiles per second, the
-//! warm-over-cold speedup, and the session's per-phase cache counters
+//! warm-over-cold speedup, and the session's cache counters
 //! (`BENCH_service.json`). The counters (and the zero-mismatch
 //! bit-identity of warm vs cold artifacts) are deterministic and gated
 //! exactly, the rates get floors.

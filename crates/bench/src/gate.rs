@@ -151,7 +151,6 @@ const TABLE: &[Row] = &[
     // The balancer feeds every shard.
     ("traffic", "sweep[id]/shards[shard]", "delivered", AbsFloor(1.0)),
     // The seeded one-worker stream fixes which request hits which cache.
-    ("service", "counters", "frontend_hits,frontend_misses,cps_hits,cps_misses,isel_hits,isel_misses", Exact),
     ("service", "counters", "alloc_hits,alloc_misses,output_hits,output_misses,refinish_fallbacks", Exact),
     ("service", "counters", "hint_offers,evict_count,evict_bytes,disk_hits,disk_misses,disk_rejects", Exact),
     ("service", "rates", "warm_compiles_per_sec,output_hit_rate,alloc_hit_rate", Floor { drop: SERVICE_RATE_DROP }),
@@ -713,17 +712,14 @@ mod tests {
         Json::parse(&format!(
             r#"{{"bench":"service",
                 "stream":{{"total":1000,"distinct":250,"cold_samples":25,"workers":1}},
-                "counters":{{"frontend_hits":0,"frontend_misses":250,
-                  "cps_hits":0,"cps_misses":250,"isel_hits":0,"isel_misses":250,
-                  "alloc_hits":{alloc_hits},"alloc_misses":1,
+                "counters":{{"alloc_hits":{alloc_hits},"alloc_misses":1,
                   "output_hits":750,"output_misses":250,
                   "refinish_fallbacks":0,"hint_offers":0,
                   "evict_count":0,"evict_bytes":0,
                   "disk_hits":0,"disk_misses":0,"disk_rejects":0}},
                 "rates":{{"warm_compiles_per_sec":{warm},
                   "cold_compiles_per_sec":130.0,"speedup":{speedup},
-                  "output_hit_rate":0.75,"alloc_hit_rate":0.996,
-                  "frontend_hit_rate":0.0}},
+                  "output_hit_rate":0.75,"alloc_hit_rate":0.996}},
                 "mismatches":{mismatches},"failures":0,
                 "warm_wall_ms":150.0,"cold_wall_ms":190.0}}"#
         ))

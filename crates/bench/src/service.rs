@@ -10,9 +10,9 @@
 //!
 //! * the stream's very first variant — a full compile (`alloc_misses`
 //!   = 1);
-//! * the first occurrence of every later variant — frontend/CPS/isel
-//!   misses, but the immediate-masked allocation key hits and the MILP
-//!   solve is skipped (`alloc_hits` = `distinct` − 1);
+//! * the first occurrence of every later variant — frontend, CPS and
+//!   isel re-run, but the immediate-masked allocation key hits and the
+//!   MILP solve is skipped (`alloc_hits` = `distinct` − 1);
 //! * every repeat of a variant — a whole-image hit (`output_hits` =
 //!   `total` − `distinct`).
 //!
@@ -226,12 +226,6 @@ pub fn response_json(r: &nova_server::CompileResponse) -> Json {
 /// JSON view of the session cache counters and derived hit rates.
 pub fn cache_stats_json(s: &CacheStats) -> Json {
     Json::obj([
-        ("frontend_hits", Json::int(s.frontend_hits as usize)),
-        ("frontend_misses", Json::int(s.frontend_misses as usize)),
-        ("cps_hits", Json::int(s.cps_hits as usize)),
-        ("cps_misses", Json::int(s.cps_misses as usize)),
-        ("isel_hits", Json::int(s.isel_hits as usize)),
-        ("isel_misses", Json::int(s.isel_misses as usize)),
         ("alloc_hits", Json::int(s.alloc_hits as usize)),
         ("alloc_misses", Json::int(s.alloc_misses as usize)),
         ("output_hits", Json::int(s.output_hits as usize)),
@@ -279,10 +273,6 @@ pub fn service_json(run: &ServiceRun) -> Json {
                     "alloc_hit_rate",
                     Json::Num(run.stats.alloc_hit_rate().unwrap_or(0.0)),
                 ),
-                (
-                    "frontend_hit_rate",
-                    Json::Num(run.stats.frontend_hit_rate().unwrap_or(0.0)),
-                ),
             ]),
         ),
         ("mismatches", Json::int(run.mismatches)),
@@ -307,8 +297,6 @@ mod tests {
         let s = &run.stats;
         assert_eq!(s.output_misses, distinct as u64);
         assert_eq!(s.output_hits, (total - distinct) as u64);
-        assert_eq!(s.frontend_misses, distinct as u64);
-        assert_eq!(s.frontend_hits, 0);
         assert_eq!(s.alloc_misses, 1);
         assert_eq!(s.alloc_hits, distinct as u64 - 1);
         assert_eq!(s.refinish_fallbacks, 0);

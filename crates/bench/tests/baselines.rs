@@ -34,13 +34,15 @@ fn bump(doc: &mut Json, path: &[&str]) {
 #[test]
 fn every_checked_in_baseline_passes_against_itself() {
     // Check counts of the per-document gate functions this table replaced;
-    // rows may be added, never lost.
+    // rows may be added, never lost — except with the mechanism they
+    // counted (service was 27 until the frontend/CPS/isel caches and
+    // their six counter rows were deleted).
     let floor = [
         ("solver", 18),
         ("throughput", 72),
         ("phases", 54),
         ("traffic", 60),
-        ("service", 27),
+        ("service", 21),
         ("reload", 38),
         ("rollout", 339),
     ];

@@ -81,10 +81,8 @@ pub struct BranchConfig {
     /// reads the environment during a solve.
     pub threads: usize,
     /// Simplex basis kernel for every LP workspace of the solve. `None`
-    /// means the sparse LU default. As with `threads`, environment
-    /// selection (`NOVA_ILP_KERNEL`) happens in the embedding compiler's
-    /// configuration builder, not here, so parallel differential runs
-    /// cannot race on the environment.
+    /// means the sparse LU default; the dense kernel is the differential
+    /// tests' reference and nothing selects it from the environment.
     pub kernel: Option<KernelKind>,
     /// Run the full [`crate::presolve`] reduction (singletons, bound
     /// tightening, substitution, domination) before the tree search.
@@ -254,7 +252,7 @@ pub struct SolveStats {
     pub lu_fill_nnz: usize,
     /// A caller-supplied warm-start point validated as feasible and was
     /// adopted as the starting incumbent of any tree search that ran (see
-    /// [`solve_milp_hinted_with`]).
+    /// [`solve_milp_with`]).
     pub hint_accepted: bool,
 }
 
@@ -732,37 +730,26 @@ fn frac_var(int_vars: &[usize], x: &[f64], int_tol: f64, obj_coeff: &[f64]) -> O
     best.map(|(j, _)| j)
 }
 
-/// [`solve_milp`] with structured telemetry: the presolve reduction runs
-/// under a `phase.ilp.presolve` span and the root relaxation plus tree
-/// search under `phase.ilp.solve`, so per-sub-phase wall time and heap
-/// attribution land where the work happens; after the solve (successful
-/// or budget-exhausted) the search's [`SolveStats`] are published to
-/// `obs` as `ilp.*` counters plus `ilp.root` / `ilp.solve` spans. All
-/// emission happens outside the pivot and node hot loops, so a no-op
-/// observer costs one branch per solve.
+/// [`solve_milp`] with structured telemetry and an optional warm start.
 ///
-/// # Errors
+/// The presolve reduction runs under a `phase.ilp.presolve` span and the
+/// root relaxation plus tree search under `phase.ilp.solve`, so
+/// per-sub-phase wall time and heap attribution land where the work
+/// happens; after the solve (successful or budget-exhausted) the search's
+/// [`SolveStats`] are published to `obs` as `ilp.*` counters plus
+/// `ilp.root` / `ilp.solve` spans. All emission happens outside the pivot
+/// and node hot loops, so a no-op observer costs one branch per solve.
 ///
-/// See [`MilpError`].
-pub fn solve_milp_with(
-    problem: &Problem,
-    config: &BranchConfig,
-    obs: &nova_obs::Obs,
-) -> Result<MilpSolution, MilpError> {
-    solve_milp_hinted(problem, config, None, obs)
-}
-
-/// [`solve_milp_with`] warm-started from a previously known integer point.
-///
-/// The hint is validated against the *original* problem (bounds,
-/// integrality, every constraint row, tolerance `config.int_tol`) and, if
-/// feasible, offered as the starting incumbent before the tree search —
-/// the same injection path as the root rounding heuristic. A feasible
-/// hint bounds the search from above immediately, so node subtrees worse
-/// than the previous solution are fathomed without being explored; an
-/// infeasible or wrong-length hint is ignored. The solve result is never
-/// *worse* than the hint's objective, and with budget exhaustion the hint
-/// itself survives as the returned incumbent.
+/// A `hint` (a previously known integer point) is validated against the
+/// *original* problem (bounds, integrality, every constraint row,
+/// tolerance `config.int_tol`) and, if feasible, offered as the starting
+/// incumbent before the tree search — the same injection path as the
+/// root rounding heuristic. A feasible hint bounds the search from above
+/// immediately, so node subtrees worse than the previous solution are
+/// fathomed without being explored; an infeasible or wrong-length hint
+/// is ignored. The solve result is never *worse* than the hint's
+/// objective, and with budget exhaustion the hint itself survives as the
+/// returned incumbent.
 ///
 /// Intended for incremental recompilation: when only objective
 /// coefficients or right-hand constants of an unchanged model *structure*
@@ -777,34 +764,28 @@ pub fn solve_milp_with(
 /// # Errors
 ///
 /// See [`MilpError`].
-pub fn solve_milp_hinted_with(
-    problem: &Problem,
-    config: &BranchConfig,
-    hint: &[f64],
-    obs: &nova_obs::Obs,
-) -> Result<MilpSolution, MilpError> {
-    solve_milp_hinted(problem, config, Some(hint), obs)
-}
-
-fn solve_milp_hinted(
+pub fn solve_milp_with(
     problem: &Problem,
     config: &BranchConfig,
     hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
 ) -> Result<MilpSolution, MilpError> {
     let res = solve_milp_inner(problem, config, hint, obs);
-    if obs.enabled() {
-        match &res {
-            Ok(sol) => emit_stats(obs, &sol.stats),
-            Err(MilpError::BudgetExhausted(stats)) => emit_stats(obs, stats),
-            Err(_) => {}
-        }
-    }
+    emit_stats(obs, &res);
     res
 }
 
-/// Publish one solve's statistics as observability events.
-fn emit_stats(obs: &nova_obs::Obs, s: &SolveStats) {
+/// Publish the statistics of one solve (successful or budget-exhausted)
+/// as observability events.
+fn emit_stats(obs: &nova_obs::Obs, res: &Result<MilpSolution, MilpError>) {
+    if !obs.enabled() {
+        return;
+    }
+    let s = match res {
+        Ok(sol) => &sol.stats,
+        Err(MilpError::BudgetExhausted(stats)) => stats,
+        Err(_) => return,
+    };
     obs.span_dur("ilp.root", s.root_time);
     obs.span_dur("ilp.solve", s.total_time);
     obs.counter("ilp.nodes", s.nodes as u64);
@@ -948,13 +929,7 @@ pub fn solve_rounded_with(
     obs: &nova_obs::Obs,
 ) -> Result<MilpSolution, MilpError> {
     let res = solve_rounded_inner(problem, config, obs);
-    if obs.enabled() {
-        match &res {
-            Ok(sol) => emit_stats(obs, &sol.stats),
-            Err(MilpError::BudgetExhausted(stats)) => emit_stats(obs, stats),
-            Err(_) => {}
-        }
-    }
+    emit_stats(obs, &res);
     res
 }
 
@@ -1346,8 +1321,7 @@ mod tests {
         };
         let cold = solve_milp(&build(), &cfg()).unwrap();
         let p = build();
-        let warm =
-            solve_milp_hinted_with(&p, &cfg(), &cold.values, &nova_obs::Obs::noop()).unwrap();
+        let warm = solve_milp_with(&p, &cfg(), Some(&cold.values), &nova_obs::Obs::noop()).unwrap();
         assert_eq!(warm.objective, cold.objective);
         assert_eq!(warm.values, cold.values);
         assert!(warm.stats.proven_optimal);
@@ -1365,7 +1339,7 @@ mod tests {
         // All-ones violates the knapsack row; wrong length fails the
         // feasibility check outright. Either way the solve proceeds cold.
         for bad in [vec![1.0, 1.0, 1.0], vec![1.0]] {
-            let s = solve_milp_hinted_with(&p, &cfg(), &bad, &nova_obs::Obs::noop()).unwrap();
+            let s = solve_milp_with(&p, &cfg(), Some(&bad), &nova_obs::Obs::noop()).unwrap();
             assert!((s.objective - 20.0).abs() < 1e-5, "got {}", s.objective);
             assert!(!s.stats.hint_accepted);
         }
@@ -1391,7 +1365,7 @@ mod tests {
         let p = build();
         let mut tight = cfg();
         tight.time_limit = Some(Duration::from_millis(1));
-        if let Ok(s) = solve_milp_hinted_with(&p, &tight, &cold.values, &nova_obs::Obs::noop()) {
+        if let Ok(s) = solve_milp_with(&p, &tight, Some(&cold.values), &nova_obs::Obs::noop()) {
             assert!(s.objective >= cold.objective - 1e-9);
         }
     }

@@ -39,8 +39,8 @@ mod problem;
 mod simplex;
 
 pub use branch::{
-    solve_milp, solve_milp_hinted_with, solve_milp_with, solve_rounded, solve_rounded_with,
-    BranchConfig, MilpError, MilpSolution, SolveStats,
+    solve_milp, solve_milp_with, solve_rounded, solve_rounded_with, BranchConfig, MilpError,
+    MilpSolution, SolveStats,
 };
 pub use expr::{LinExpr, Var};
 pub use model::{Family, Key, Model, ModelStats};

@@ -303,11 +303,13 @@ impl Model {
         &mut self,
         config: &crate::branch::BranchConfig,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        self.solve_with(config, &nova_obs::Obs::noop())
+        self.solve_with(config, None, &nova_obs::Obs::noop())
     }
 
-    /// [`solve`](Self::solve) with structured telemetry (see
-    /// [`crate::solve_milp_with`]).
+    /// [`solve`](Self::solve) with structured telemetry, optionally
+    /// warm-started from a previous solution's variable values (see
+    /// [`crate::solve_milp_with`]; an infeasible or wrong-length hint is
+    /// ignored).
     ///
     /// # Errors
     ///
@@ -315,29 +317,10 @@ impl Model {
     pub fn solve_with(
         &mut self,
         config: &crate::branch::BranchConfig,
+        hint: Option<&[f64]>,
         obs: &nova_obs::Obs,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        let obj = self.objective.clone();
-        self.problem.set_objective(obj);
-        crate::branch::solve_milp_with(&self.problem, config, obs)
-    }
-
-    /// [`solve_with`](Self::solve_with) warm-started from a previous
-    /// solution's variable values (see [`crate::solve_milp_hinted_with`]).
-    /// An infeasible or wrong-length hint is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::MilpError`] from the solver.
-    pub fn solve_hinted_with(
-        &mut self,
-        config: &crate::branch::BranchConfig,
-        hint: &[f64],
-        obs: &nova_obs::Obs,
-    ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        let obj = self.objective.clone();
-        self.problem.set_objective(obj);
-        crate::branch::solve_milp_hinted_with(&self.problem, config, hint, obs)
+        crate::branch::solve_milp_with(self.problem(), config, hint, obs)
     }
 
     /// Solve only the LP relaxation and round (see
@@ -351,9 +334,7 @@ impl Model {
         config: &crate::branch::BranchConfig,
         obs: &nova_obs::Obs,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        let obj = self.objective.clone();
-        self.problem.set_objective(obj);
-        crate::branch::solve_rounded_with(&self.problem, config, obs)
+        crate::branch::solve_rounded_with(self.problem(), config, obs)
     }
 
     /// Model-size statistics. Takes `&self`: the objective term count is

@@ -1,7 +1,7 @@
 //! Basis representations for the revised simplex: a sparse LU
 //! factorization with Markowitz threshold pivoting plus a product-form
 //! eta file (the default), and the historical dense explicit inverse
-//! (kept behind `NOVA_ILP_KERNEL=dense` for differential testing).
+//! (kept as the differential-test reference, `KernelKind::Dense`).
 //!
 //! Both kernels expose the same four operations, all in *basis position /
 //! row* index space (`0..m`):

@@ -26,8 +26,8 @@
 //! against `b` and the reduced costs from scratch. Reduced costs are
 //! otherwise maintained incrementally from the pivot row, so a pivot costs
 //! O(m + nnz(pivot row)) rather than a dense pricing pass. The dense
-//! inverse survives behind `NOVA_ILP_KERNEL=dense` ([`KernelKind`]) for
-//! differential testing and as a fallback.
+//! inverse survives as [`KernelKind::Dense`], the reference the
+//! differential tests solve against (`tests/kernels.rs`).
 
 mod factor;
 mod pricing;
@@ -96,22 +96,12 @@ pub struct LpSolution {
 pub enum KernelKind {
     /// Sparse LU with Markowitz pivoting plus an eta file (the default).
     Sparse,
-    /// Dense explicit product-form inverse (the pre-LU engine), kept for
-    /// differential testing and fallback.
+    /// Dense explicit product-form inverse (the pre-LU engine), kept as
+    /// the differential-test reference.
     Dense,
 }
 
 impl KernelKind {
-    /// Kernel selected by the `NOVA_ILP_KERNEL` environment variable:
-    /// `dense` picks [`KernelKind::Dense`], anything else (or unset) the
-    /// sparse default.
-    pub fn from_env() -> KernelKind {
-        match std::env::var("NOVA_ILP_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => KernelKind::Dense,
-            _ => KernelKind::Sparse,
-        }
-    }
-
     /// Stable lowercase name (used in benchmark JSON).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -367,8 +357,8 @@ pub struct Simplex {
 }
 
 impl Simplex {
-    /// Build a workspace for `problem` (all of its constraints), using the
-    /// kernel selected by `NOVA_ILP_KERNEL`.
+    /// Build a workspace for `problem` (all of its constraints) on the
+    /// sparse LU kernel.
     pub fn new(problem: &Problem) -> Self {
         Self::with_rows(problem, None)
     }
@@ -376,12 +366,11 @@ impl Simplex {
     /// Build a workspace containing only the selected constraint indices
     /// (used by the lazy-row solver).
     pub fn with_rows(problem: &Problem, rows: Option<&[usize]>) -> Self {
-        Self::with_rows_kernel(problem, rows, KernelKind::from_env())
+        Self::with_rows_kernel(problem, rows, KernelKind::Sparse)
     }
 
-    /// Build a workspace with an explicit basis kernel choice (used by
-    /// differential tests; normal callers go through the `NOVA_ILP_KERNEL`
-    /// environment default).
+    /// Build a workspace with an explicit basis kernel choice (the dense
+    /// kernel is the differential tests' reference).
     pub fn with_rows_kernel(problem: &Problem, rows: Option<&[usize]>, kind: KernelKind) -> Self {
         let idx: Vec<usize> = match rows {
             Some(r) => r.to_vec(),

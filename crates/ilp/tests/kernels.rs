@@ -5,8 +5,8 @@
 //! objectives, same branch-and-bound incumbents, same
 //! feasible/infeasible verdicts. These tests push random bounded LPs and
 //! small MILPs through both kernels explicitly (via
-//! [`Simplex::with_rows_kernel`] / [`BranchConfig::with_kernel`]) so
-//! they are independent of the `NOVA_ILP_KERNEL` environment variable.
+//! [`Simplex::with_rows_kernel`] / [`BranchConfig::with_kernel`]), the
+//! only way to select the dense reference kernel.
 
 use ilp::{solve_milp, BranchConfig, Cmp, KernelKind, LinExpr, Problem, Simplex};
 use proptest::prelude::*;

@@ -81,7 +81,8 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Run the full allocator on a virtual-register program.
+/// Run the full allocator on a virtual-register program (no telemetry,
+/// no warm start; see [`allocate_solved_with`] for both).
 ///
 /// # Errors
 ///
@@ -91,31 +92,7 @@ impl std::error::Error for AllocError {}
 /// exhaustion is *not* an error: the allocator degrades through
 /// relaxations down to the greedy fallback (see [`staged`]).
 pub fn allocate(prog: &Program<Temp>, cfg: &AllocConfig) -> Result<Allocation, AllocError> {
-    allocate_with(prog, cfg, &nova_obs::Obs::noop())
-}
-
-/// [`allocate`] with structured telemetry: fact extraction and frequency
-/// estimation run under a `phase.ilp` span (`backend.facts` and
-/// `backend.freq` sub-spans); CSR model generation runs under a
-/// `phase.ilp.model` span; each solve attempt of the fallback ladder
-/// runs under a `phase.ilp.stage` span (with `phase.ilp.presolve` and
-/// `phase.ilp.solve` sub-spans from the solver, the solver's own
-/// `ilp.*` events, plus `backend.staged.*`
-/// counters/samples for attempts, backoff, chosen stage, and gap); the
-/// extraction/coloring half of each accepted attempt runs under
-/// `phase.codegen` (with `backend.extract` and `backend.color`
-/// sub-spans); and the liveness, move, spill, and coalescing outcomes
-/// are published as `backend.*` counters.
-///
-/// # Errors
-///
-/// See [`AllocError`].
-pub fn allocate_with(
-    prog: &Program<Temp>,
-    cfg: &AllocConfig,
-    obs: &nova_obs::Obs,
-) -> Result<Allocation, AllocError> {
-    allocate_solved_with(prog, cfg, None, obs).map(|(alloc, _)| alloc)
+    allocate_solved_with(prog, cfg, None, &nova_obs::Obs::noop()).map(|(alloc, _)| alloc)
 }
 
 /// The reusable solver-side state of a successful allocation: the facts
@@ -141,21 +118,16 @@ pub struct SolvedAllocation {
     pub values: Option<Vec<f64>>,
 }
 
-/// [`allocate_with`] that also returns the [`SolvedAllocation`] artifacts
-/// for session caching, and accepts an optional MILP warm-start `hint`
-/// (a raw variable vector from a previous structurally compatible solve;
-/// silently ignored if infeasible for this model).
-///
-/// # Errors
-///
-/// See [`AllocError`].
-pub fn allocate_solved_with(
+/// The deterministic preamble of every path that needs a bank model:
+/// liveness facts, static frequencies, and the configuration with the
+/// spill machinery dropped when no point can exhaust the general-purpose
+/// banks — then spilling can never be required (or profitable, at 200x
+/// move cost), so the `M` bank and its colorAvail/needsSpill rows go.
+fn preamble(
     prog: &Program<Temp>,
     cfg: &AllocConfig,
-    hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
-) -> Result<(Allocation, SolvedAllocation), AllocError> {
-    let ilp_span = obs.span("phase.ilp");
+) -> (Facts, freq::Frequencies, AllocConfig) {
     let facts = {
         let _span = obs.span("backend.facts");
         build_facts(prog)
@@ -168,15 +140,41 @@ pub fn allocate_solved_with(
     let pressure = facts.exists.values().map(|s| s.len()).max().unwrap_or(0);
     obs.counter("backend.liveness.points", facts.exists.len() as u64);
     obs.counter("backend.liveness.max_pressure", pressure as u64);
-    if cfg.allow_spill && cfg.spill_auto {
-        // If no point can exhaust the general-purpose banks, spilling can
-        // never be required (or profitable, at 200x move cost): drop the
-        // M machinery and its colorAvail/needsSpill rows.
-        if pressure + 4 <= cfg.k_a + cfg.k_b {
-            cfg.allow_spill = false;
-            obs.counter("backend.spill.machinery_dropped", 1);
-        }
+    if cfg.allow_spill && cfg.spill_auto && pressure + 4 <= cfg.k_a + cfg.k_b {
+        cfg.allow_spill = false;
+        obs.counter("backend.spill.machinery_dropped", 1);
     }
+    (facts, freqs, cfg)
+}
+
+/// [`allocate`] with structured telemetry, an optional MILP warm-start
+/// `hint` (a raw variable vector from a previous structurally compatible
+/// solve; silently ignored if infeasible for this model), and the
+/// [`SolvedAllocation`] artifacts returned for session caching.
+///
+/// Fact extraction and frequency estimation run under a `phase.ilp` span
+/// (`backend.facts` and `backend.freq` sub-spans); CSR model generation
+/// runs under a `phase.ilp.model` span; each solve attempt of the
+/// fallback ladder runs under a `phase.ilp.stage` span (with
+/// `phase.ilp.presolve` and `phase.ilp.solve` sub-spans from the solver,
+/// the solver's own `ilp.*` events, plus `backend.staged.*`
+/// counters/samples for attempts, backoff, chosen stage, and gap); the
+/// extraction/coloring half of each accepted attempt runs under
+/// `phase.codegen` (with `backend.extract` and `backend.color`
+/// sub-spans); and the liveness, move, spill, and coalescing outcomes
+/// are published as `backend.*` counters.
+///
+/// # Errors
+///
+/// See [`AllocError`].
+pub fn allocate_solved_with(
+    prog: &Program<Temp>,
+    cfg: &AllocConfig,
+    hint: Option<&[f64]>,
+    obs: &nova_obs::Obs,
+) -> Result<(Allocation, SolvedAllocation), AllocError> {
+    let ilp_span = obs.span("phase.ilp");
+    let (facts, freqs, cfg) = preamble(prog, cfg, obs);
     ilp_span.end();
     let (alloc, solved) = staged::run(prog, &facts, &freqs, &cfg, hint, obs)?;
     Ok((
@@ -199,7 +197,7 @@ pub fn allocate_solved_with(
 /// solve (the [`Assignment`], its objective, its quality record, and the
 /// raw solution vector); everything else — facts, frequencies, the bank
 /// model — is a pure function of the program and configuration, so this
-/// recomputes it with exactly the preamble [`allocate_solved_with`] runs
+/// recomputes it with the same preamble [`allocate_solved_with`] runs
 /// (including the automatic spill-machinery drop) and then goes straight
 /// to extraction/coloring/validation. The result is bit-identical to the
 /// cold allocation that produced the assignment, because none of the
@@ -222,19 +220,7 @@ pub fn readopt_assignment_with(
     obs: &nova_obs::Obs,
 ) -> Result<(Allocation, SolvedAllocation), AllocError> {
     let ilp_span = obs.span("phase.ilp");
-    let facts = {
-        let _span = obs.span("backend.facts");
-        build_facts(prog)
-    };
-    let freqs = {
-        let _span = obs.span("backend.freq");
-        freq::estimate(prog)
-    };
-    let mut cfg = cfg.clone();
-    let pressure = facts.exists.values().map(|s| s.len()).max().unwrap_or(0);
-    if cfg.allow_spill && cfg.spill_auto && pressure + 4 <= cfg.k_a + cfg.k_b {
-        cfg.allow_spill = false;
-    }
+    let (facts, freqs, cfg) = preamble(prog, cfg, obs);
     let bm = build_model(prog, &facts, &freqs, &cfg);
     ilp_span.end();
     let stats = AllocStats {

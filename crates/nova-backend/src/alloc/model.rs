@@ -99,26 +99,6 @@ impl Default for AllocConfig {
     }
 }
 
-impl AllocConfig {
-    /// Builder-style override of the solver's worker-thread count
-    /// (`0` restores automatic selection; see
-    /// [`BranchConfig::effective_threads`]).
-    #[must_use]
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver.threads = threads;
-        self
-    }
-
-    /// Builder-style override of the LP basis kernel (`None` restores
-    /// automatic selection via the `NOVA_ILP_KERNEL` environment
-    /// variable; see [`ilp::KernelKind::from_env`]).
-    #[must_use]
-    pub fn with_solver_kernel(mut self, kernel: Option<ilp::KernelKind>) -> Self {
-        self.solver.kernel = kernel;
-        self
-    }
-}
-
 /// Move variables keyed by action point and temp: `(var, from, to)`.
 pub type MoveVars = HashMap<(PointId, Temp), Vec<(Var, IlpBank, IlpBank)>>;
 
@@ -1302,11 +1282,15 @@ pub struct AllocStats {
 /// well-formed program indicates the program genuinely cannot be allocated
 /// (e.g. spilling disabled with excessive pressure).
 pub fn solve(bm: &mut BankModel, cfg: &AllocConfig) -> Result<(Assignment, AllocStats), MilpError> {
-    solve_with(bm, cfg, &nova_obs::Obs::noop())
+    solve_with(bm, cfg, None, &nova_obs::Obs::noop()).map(|(asg, stats, _)| (asg, stats))
 }
 
 /// [`solve`] with structured telemetry (the underlying MILP search
-/// publishes its `ilp.*` events; see [`ilp::solve_milp_with`]).
+/// publishes its `ilp.*` events), optionally warm-started from a previous
+/// solution's raw variable values (see [`ilp::solve_milp_with`]; an
+/// infeasible or wrong-length hint is ignored). Also returns the accepted
+/// solution's raw values, which a session can keep as the hint for the
+/// next structurally-identical solve.
 ///
 /// # Errors
 ///
@@ -1314,31 +1298,11 @@ pub fn solve(bm: &mut BankModel, cfg: &AllocConfig) -> Result<(Assignment, Alloc
 pub fn solve_with(
     bm: &mut BankModel,
     cfg: &AllocConfig,
-    obs: &nova_obs::Obs,
-) -> Result<(Assignment, AllocStats), MilpError> {
-    solve_hinted_with(bm, cfg, None, obs).map(|(asg, stats, _)| (asg, stats))
-}
-
-/// [`solve_with`], optionally warm-started from a previous solution's raw
-/// variable values (see [`ilp::solve_milp_hinted_with`]; an infeasible or
-/// wrong-length hint is ignored). Also returns the accepted solution's raw
-/// values, which a session can keep as the hint for the next
-/// structurally-identical solve.
-///
-/// # Errors
-///
-/// Propagates solver failure ([`MilpError`]) as [`solve`] does.
-pub fn solve_hinted_with(
-    bm: &mut BankModel,
-    cfg: &AllocConfig,
     hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
 ) -> Result<(Assignment, AllocStats, Vec<f64>), MilpError> {
     let stats_model = bm.model.stats();
-    let sol = match hint {
-        Some(h) => bm.model.solve_hinted_with(&cfg.solver, h, obs)?,
-        None => bm.model.solve_with(&cfg.solver, obs)?,
-    };
+    let sol = bm.model.solve_with(&cfg.solver, hint, obs)?;
     let assignment = decode_assignment(bm, &sol.values);
     let stats = AllocStats {
         model: stats_model,

@@ -30,8 +30,7 @@
 use super::facts::Facts;
 use super::greedy;
 use super::model::{
-    build_model, decode_assignment, solve_hinted_with, AllocConfig, AllocStats, Assignment,
-    BankModel,
+    build_model, decode_assignment, solve_with, AllocConfig, AllocStats, Assignment, BankModel,
 };
 use super::{finish, AllocError, Allocation};
 use crate::freq::Frequencies;
@@ -167,7 +166,7 @@ fn attempt(
 ) -> Result<(Assignment, AllocStats, Vec<f64>), MilpError> {
     let span = obs.span("phase.ilp.stage");
     obs.counter("backend.staged.attempts", 1);
-    let out = solve_hinted_with(bm, cfg, hint, obs);
+    let out = solve_with(bm, cfg, hint, obs);
     span.end();
     out
 }

@@ -21,9 +21,8 @@ pub mod isel;
 pub mod liveness;
 
 pub use alloc::{
-    allocate, allocate_solved_with, allocate_with, readopt_assignment_with, refinish_with,
-    AllocConfig, AllocError, AllocQuality, AllocStats, Allocation, FallbackPolicy,
-    SolvedAllocation,
+    allocate, allocate_solved_with, readopt_assignment_with, refinish_with, AllocConfig,
+    AllocError, AllocQuality, AllocStats, Allocation, FallbackPolicy, SolvedAllocation,
 };
 pub use isel::{select, IselError};
 

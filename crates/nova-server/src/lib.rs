@@ -2,11 +2,11 @@
 //! shared [`nova::Compiler`] session.
 //!
 //! A [`Server`] owns a pool of worker threads that all hold clones of
-//! one compile session, so the session's phase caches (token-fingerprint
-//! frontend cache, immediate-masked MILP allocation cache, whole-image
-//! cache — see [`nova::Compiler`]) are shared across every client:
-//! after one client compiles a rule set, every other client's variants
-//! of it are partial or full cache hits.
+//! one compile session, so the session's two caches (the whole-image
+//! cache and the immediate-masked MILP allocation cache — see
+//! [`nova::Compiler`]) are shared across every client: after one client
+//! compiles a rule set, every other client's variants of it are
+//! solve-free or full cache hits.
 //!
 //! Requests go in as batches ([`Server::submit_batch`]); responses come
 //! back **in request order** regardless of which worker finished first

@@ -6,20 +6,20 @@
 //! (de-proceduralization included) → static single use → instruction
 //! selection → ILP bank/register allocation → A/B coloring → validation.
 //!
-//! Configuration goes through one builder — solver and simulation knobs
-//! alike — and environment overrides (`NOVA_ILP_THREADS`,
-//! `NOVA_ILP_KERNEL`) are resolved exactly once, at
-//! [`CompileConfigBuilder::build`] time, never later inside the solver.
+//! Configuration goes through one builder that carries exactly what the
+//! compile pipeline reads (a simulation takes its own [`ChipConfig`]),
+//! and the one environment override (`NOVA_ILP_THREADS`) is resolved
+//! exactly once, at [`CompileConfigBuilder::build`] time, never later
+//! inside the solver.
 //!
-//! The primary entry point is a [`Compiler`] session, which caches phase
-//! artifacts by content hash so recompiling edited variants of a program
-//! only re-runs the phases the edit invalidates:
+//! The primary entry point is a [`Compiler`] session, which caches
+//! finished images and solved allocations by content hash, so a repeat
+//! compile runs nothing and a constant edit skips the MILP solve:
 //!
 //! ```
 //! let cfg = nova::CompileConfig::builder()
 //!     .solver_threads(1)
 //!     .solver_gap(0.0)
-//!     .engines(6)
 //!     .build();
 //! let compiler = nova::Compiler::new(cfg);
 //! let report = compiler
@@ -41,9 +41,9 @@ use nova_backend::alloc::AllocConfig;
 use nova_cps::{OptConfig, SsuStats};
 use nova_frontend::StaticStats;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
-pub use ilp::KernelKind;
 pub use ixp_machine::channel::{ChannelFaults, ChannelStats};
 pub use ixp_sim::{
     big_bang_rollout, image_checksum, simulate_chip, simulate_chip_reload, simulate_chip_with,
@@ -62,59 +62,12 @@ pub use nova_obs::{
 /// Hard ceiling on ILP worker threads (mirrors the solver's own cap).
 const MAX_SOLVER_THREADS: usize = 64;
 
-/// Simulation shape carried alongside the compile pipeline settings, so a
-/// driver can compile and simulate from one configuration object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimSettings {
-    /// Micro-engines for chip-level simulation (IXP1200: 6).
-    pub engines: usize,
-    /// Hardware contexts per engine (IXP1200: 4).
-    pub contexts: usize,
-    /// Simulated-cycle budget before the run stops with
-    /// [`StopReason::CycleLimit`] and partial statistics.
-    pub max_cycles: u64,
-    /// Deterministic memory-channel fault injection (periodic bus stalls
-    /// and dropped/retried references). Defaults to no faults; used by
-    /// robustness tests to confirm the watchdog still yields partial
-    /// statistics under a perturbed memory system.
-    pub faults: ChannelFaults,
-    /// Time-advance strategy: event-driven fast path (default) or the
-    /// cycle-slice differential oracle. Both are bit-identical.
-    pub mode: SimMode,
-}
-
-impl Default for SimSettings {
-    fn default() -> Self {
-        let chip = ChipConfig::default();
-        SimSettings {
-            engines: chip.engines,
-            contexts: chip.contexts,
-            max_cycles: chip.max_cycles,
-            faults: chip.faults,
-            mode: chip.mode,
-        }
-    }
-}
-
-impl SimSettings {
-    /// Simulator configuration with these settings.
-    pub fn chip_config(&self) -> ChipConfig {
-        ChipConfig {
-            engines: self.engines,
-            contexts: self.contexts,
-            max_cycles: self.max_cycles,
-            faults: self.faults,
-            mode: self.mode,
-            ..ChipConfig::default()
-        }
-    }
-}
-
-/// Retention budget for each of a session's phase caches. The default
+/// Retention budget for each of a session's three maps (whole-image
+/// cache, allocation cache, warm-start hint pool). The default
 /// (`0` on both axes) is unbounded — the historical behavior, and what
 /// keeps short-lived CI streams' counter algebra exact. A long-lived
 /// service sets one or both axes; the session then evicts
-/// least-recently-used entries *per phase cache* on insertion, counting
+/// least-recently-used entries *per map* on insertion, counting
 /// them under `session.cache.evict.{count,bytes}` and
 /// [`CacheStats::evict_count`]/[`CacheStats::evict_bytes`].
 ///
@@ -124,14 +77,14 @@ impl SimSettings {
 /// size, not exact heap measurements — budget in round numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheBudget {
-    /// Maximum entries per phase cache (`0` = unbounded).
+    /// Maximum entries per map (`0` = unbounded).
     pub max_entries: usize,
-    /// Maximum estimated bytes per phase cache (`0` = unbounded).
+    /// Maximum estimated bytes per map (`0` = unbounded).
     pub max_bytes: u64,
 }
 
 impl CacheBudget {
-    /// Cap each phase cache at `n` entries.
+    /// Cap each map at `n` entries.
     pub fn entries(n: usize) -> Self {
         CacheBudget {
             max_entries: n,
@@ -139,7 +92,7 @@ impl CacheBudget {
         }
     }
 
-    /// Cap each phase cache at approximately `n` bytes.
+    /// Cap each map at approximately `n` bytes.
     pub fn bytes(n: u64) -> Self {
         CacheBudget {
             max_entries: 0,
@@ -159,12 +112,10 @@ pub struct CompileConfig {
     pub alloc: AllocConfig,
     /// Skip the optimizer (for ablations and debugging).
     pub skip_opt: bool,
-    /// Simulation shape for drivers that run the compiled program.
-    pub sim: SimSettings,
     /// Observability handle every phase reports into. Defaults to the
     /// no-op handle, which costs one branch per instrumentation site.
     pub observer: Obs,
-    /// Per-phase-cache retention budget (default: unbounded).
+    /// Per-map retention budget of the session (default: unbounded).
     pub cache_budget: CacheBudget,
     /// Directory of the on-disk allocation cache. `None` (the default)
     /// disables persistence; when set, sessions write every solved
@@ -180,10 +131,9 @@ impl Default for CompileConfig {
 }
 
 impl CompileConfig {
-    /// Start building a configuration. Environment overrides
-    /// (`NOVA_ILP_THREADS`, `NOVA_ILP_KERNEL`) seed the corresponding
-    /// defaults and are resolved once, when [`CompileConfigBuilder::build`]
-    /// runs.
+    /// Start building a configuration. The environment override
+    /// (`NOVA_ILP_THREADS`) seeds the thread-count default and is
+    /// resolved once, when [`CompileConfigBuilder::build`] runs.
     pub fn builder() -> CompileConfigBuilder {
         CompileConfigBuilder::new()
     }
@@ -191,8 +141,8 @@ impl CompileConfig {
 
 /// Builder for [`CompileConfig`].
 ///
-/// All environment reads happen in [`build`](Self::build): the resulting
-/// `CompileConfig` carries fully resolved values, so a solve or simulation
+/// The one environment read happens in [`build`](Self::build): the
+/// resulting `CompileConfig` carries fully resolved values, so a solve
 /// never consults the environment mid-run (parallel differential tests
 /// cannot race on it). Marked non-exhaustive: construct via
 /// [`CompileConfig::builder`] so added knobs stay source-compatible.
@@ -202,9 +152,7 @@ pub struct CompileConfigBuilder {
     opt: OptConfig,
     alloc: AllocConfig,
     skip_opt: bool,
-    sim: SimSettings,
     threads: Option<usize>,
-    kernel: Option<KernelKind>,
     deadline: Option<Duration>,
     gap: Option<f64>,
     observer: Obs,
@@ -224,9 +172,7 @@ impl CompileConfigBuilder {
             opt: OptConfig::default(),
             alloc: AllocConfig::default(),
             skip_opt: false,
-            sim: SimSettings::default(),
             threads: None,
-            kernel: None,
             deadline: None,
             gap: None,
             observer: Obs::noop(),
@@ -236,8 +182,7 @@ impl CompileConfigBuilder {
     }
 
     /// Attach a [`Recorder`] that receives every span, counter, and
-    /// sample the pipeline emits. Compilation, allocation, and any
-    /// simulation driven from this configuration report into it.
+    /// sample the compile pipeline emits.
     #[must_use]
     pub fn observer(mut self, recorder: impl Recorder + 'static) -> Self {
         self.observer = Obs::new(recorder);
@@ -261,15 +206,6 @@ impl CompileConfigBuilder {
         self
     }
 
-    /// LP basis kernel. Not calling this selects automatically:
-    /// `NOVA_ILP_KERNEL=dense` for the dense product-form inverse, sparse
-    /// LU otherwise.
-    #[must_use]
-    pub fn solver_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = Some(kernel);
-        self
-    }
-
     /// Wall-clock budget for each ILP solve; `None` (the default) means
     /// unlimited.
     #[must_use]
@@ -287,44 +223,6 @@ impl CompileConfigBuilder {
         self
     }
 
-    /// Micro-engines for chip-level simulation.
-    #[must_use]
-    pub fn engines(mut self, engines: usize) -> Self {
-        self.sim.engines = engines;
-        self
-    }
-
-    /// Hardware contexts per engine.
-    #[must_use]
-    pub fn contexts(mut self, contexts: usize) -> Self {
-        self.sim.contexts = contexts;
-        self
-    }
-
-    /// Simulated-cycle budget.
-    #[must_use]
-    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
-        self.sim.max_cycles = max_cycles;
-        self
-    }
-
-    /// Deterministic memory-channel fault injection for simulations
-    /// driven from this configuration.
-    #[must_use]
-    pub fn channel_faults(mut self, faults: ChannelFaults) -> Self {
-        self.sim.faults = faults;
-        self
-    }
-
-    /// Time-advance strategy for simulations driven from this
-    /// configuration ([`SimMode::FastPath`] is the default; the
-    /// cycle-slice oracle exists for differential testing).
-    #[must_use]
-    pub fn sim_mode(mut self, mode: SimMode) -> Self {
-        self.sim.mode = mode;
-        self
-    }
-
     /// What allocation does when the exact ILP cannot prove a solution
     /// within its budget. The default, [`FallbackPolicy::Ladder`],
     /// retries through relaxations down to a greedy allocator, so
@@ -336,7 +234,7 @@ impl CompileConfigBuilder {
         self
     }
 
-    /// Bound each of the session's phase caches (see [`CacheBudget`]).
+    /// Bound each of the session's maps (see [`CacheBudget`]).
     /// The default is unbounded; long-lived services should set this.
     #[must_use]
     pub fn cache_budget(mut self, budget: CacheBudget) -> Self {
@@ -370,8 +268,8 @@ impl CompileConfigBuilder {
     }
 
     /// Replace the allocator settings wholesale. Solver knobs set through
-    /// this builder ([`solver_threads`](Self::solver_threads), kernel,
-    /// deadline, gap) still apply on top at build time.
+    /// this builder ([`solver_threads`](Self::solver_threads), deadline,
+    /// gap) still apply on top at build time.
     #[must_use]
     pub fn alloc(mut self, alloc: AllocConfig) -> Self {
         self.alloc = alloc;
@@ -391,14 +289,13 @@ impl CompileConfigBuilder {
     }
 
     /// Resolve every automatic knob — including the environment
-    /// overrides — and produce the final configuration.
+    /// override — and produce the final configuration.
     pub fn build(self) -> CompileConfig {
         let mut alloc = self.alloc;
         alloc.solver.threads = match self.threads {
             Some(n) if n >= 1 => n.min(MAX_SOLVER_THREADS),
             _ => Self::auto_threads(),
         };
-        alloc.solver.kernel = Some(self.kernel.unwrap_or_else(KernelKind::from_env));
         alloc.solver.time_limit = self.deadline;
         if let Some(gap) = self.gap {
             alloc.solver.relative_gap = gap;
@@ -407,7 +304,6 @@ impl CompileConfigBuilder {
             opt: self.opt,
             alloc,
             skip_opt: self.skip_opt,
-            sim: self.sim,
             observer: self.observer,
             cache_budget: self.cache_budget,
             persist_dir: self.persist_dir,
@@ -418,7 +314,7 @@ impl CompileConfigBuilder {
 /// Everything the compiler produces for one program.
 ///
 /// Clonable so a [`Compiler`] session can cache one compile and hand the
-/// result to multiple clients.
+/// result to multiple clients (the CPS is shared, not copied).
 #[derive(Debug, Clone)]
 pub struct CompileOutput {
     /// Allocated, validated machine code.
@@ -426,7 +322,7 @@ pub struct CompileOutput {
     /// Figure-5 static statistics of the source.
     pub static_stats: StaticStats,
     /// The optimized CPS (kept for oracle comparisons).
-    pub cps: nova_cps::Cps,
+    pub cps: Arc<nova_cps::Cps>,
     /// Optimizer statistics.
     pub opt_stats: nova_cps::OptStats,
     /// SSU statistics.
@@ -591,8 +487,8 @@ pub struct CompileReport {
 /// under `ilp.*`, allocator decisions under `backend.*`).
 ///
 /// Callers that compile more than once should hold a [`Compiler`]
-/// instead: the session's phase caches turn repeat and near-repeat
-/// compiles into partial (or full) cache hits.
+/// instead: the session's caches turn repeat and near-repeat compiles
+/// into full or allocation-only cache hits.
 ///
 /// # Errors
 ///
@@ -602,8 +498,7 @@ pub fn compile(source: &str, config: &CompileConfig) -> Result<CompileReport, Co
 }
 
 /// The frontend phase boundary: lex, parse, and type check under a
-/// `phase.frontend` span. The returned artifact is keyed by the session
-/// cache on the source's comment-free token fingerprint.
+/// `phase.frontend` span.
 fn frontend_phase(
     source: &str,
     obs: &Obs,
@@ -619,8 +514,7 @@ fn frontend_phase(
 }
 
 /// The CPS phase boundary: conversion, optimization (or bare label
-/// specialization), and SSU under a `phase.cps` span. Keyed by the
-/// session cache on (token fingerprint, optimizer config, `skip_opt`).
+/// specialization), and SSU under a `phase.cps` span.
 fn cps_phase(
     program: &nova_frontend::Program,
     info: &nova_frontend::TypeInfo,
@@ -659,7 +553,7 @@ fn cps_phase(
 }
 
 /// The instruction-selection phase boundary, under `phase.codegen` /
-/// `backend.isel` spans. Keyed by the session cache on the CPS key.
+/// `backend.isel` spans.
 fn isel_phase(
     cps: &nova_cps::Cps,
     obs: &Obs,

@@ -1,6 +1,6 @@
 //! A small recency-tracking map backing the session's bounded caches.
 //!
-//! Every phase cache of a [`crate::Compiler`] session is one [`LruMap`]
+//! Every cache of a [`crate::Compiler`] session is one [`LruMap`]
 //! guarded by a mutex: lookups stamp the entry with a monotonic tick,
 //! inserts charge an approximate byte weight, and when a
 //! [`crate::CacheBudget`] caps the cache, insertion evicts the

@@ -1,13 +1,22 @@
-//! Session-based compilation with phase-granular caching.
+//! Session-based compilation: one lex and two caches.
 //!
-//! A [`Compiler`] owns persistent caches keyed by content hashes of each
-//! phase's *input* artifact plus the configuration slice that phase
-//! reads, so recompiling an edited variant of a program re-runs only the
-//! phases the edit actually invalidates:
+//! A [`Compiler`] lexes every submission (the comment-free token stream is
+//! the content hash everything keys on) and then runs a straight-line
+//! pipeline behind two content-hash caches:
+//!
+//! 1. the **whole-image cache** — (token fingerprint, pipeline config) →
+//!    finished compile or its diagnostic. A hit runs nothing else.
+//! 2. frontend → CPS → instruction selection, as plain function calls.
+//!    These phases are cheap and, within one session, keyed on exactly
+//!    what the whole-image cache is keyed on, so memoizing them never hit
+//!    (0 hits in every gated baseline); they are not cached.
+//! 3. the **allocation cache** — (immediate-masked vprog fingerprint,
+//!    allocator config) → solved MILP artifacts, backed by the optional
+//!    on-disk cache and the warm-start hint pool.
 //!
 //! | edit kind            | re-runs                                   |
 //! |----------------------|-------------------------------------------|
-//! | comment / whitespace | nothing (full image cache hit)            |
+//! | comment / whitespace | nothing (whole-image hit)                 |
 //! | rule constant        | frontend → isel (cheap); allocation is    |
 //! |                      | *re-finished* from the cached MILP answer |
 //! | structural           | everything (a cold compile)               |
@@ -24,7 +33,11 @@
 //! When the structure fingerprint misses (e.g. a cost-knob config change
 //! invalidated the cache key), a previously solved raw solution vector
 //! for the same model structure is offered to the solver as a warm-start
-//! incumbent (see [`ilp::solve_milp_hinted_with`]).
+//! incumbent (see [`ilp::solve_milp_with`]).
+//!
+//! Every image miss reaches exactly one allocation lookup unless a
+//! frontend phase fails first, so for a stream of well-formed programs
+//! `alloc_hits + alloc_misses == output_misses`.
 //!
 //! Sessions are cheap to [`Clone`]: clones share the same caches, which
 //! is how the `nova-server` worker pool gives every client the benefit
@@ -36,33 +49,21 @@ use crate::{
     alloc_error, cps_phase, frontend_phase, isel_phase, CompileConfig, CompileError, CompileOutput,
     CompileReport, Phase,
 };
+use ilp::{BranchConfig, KernelKind};
 use ixp_machine::{Addr, AluSrc, Instr, Program, Temp, Terminator};
+use nova_backend::alloc::AllocConfig;
 use nova_backend::{
     allocate_solved_with, readopt_assignment_with, refinish_with, Allocation, SolvedAllocation,
 };
-use nova_frontend::{StaticStats, Token};
+use nova_cps::OptConfig;
+use nova_frontend::Token;
 use nova_obs::{MemoryRecorder, Obs, Recorder, TeeRecorder};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The frontend's cached artifact: AST, types, and Figure-5 statistics.
-struct FrontendArt {
-    program: nova_frontend::Program,
-    info: nova_frontend::TypeInfo,
-    static_stats: StaticStats,
-}
-
-/// The CPS phase's cached artifact: optimized SSU-form CPS plus the
-/// optimizer and SSU statistics.
-struct CpsArt {
-    cps: nova_cps::Cps,
-    opt_stats: nova_cps::OptStats,
-    ssu_stats: nova_cps::SsuStats,
-}
-
-/// One per-phase counter pair.
+/// One cache's counter pair.
 #[derive(Default)]
 struct HitMiss {
     hits: AtomicU64,
@@ -70,27 +71,16 @@ struct HitMiss {
 }
 
 impl HitMiss {
-    fn record(&self, obs: &Obs, phase: &'static str, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Count one lookup, under the stable counter name of its outcome
+    /// (`names` is the cache's `[hit, miss]` pair) so summaries and the
+    /// service bench can read hit rates straight off the trace.
+    fn record(&self, obs: &Obs, names: [&'static str; 2], hit: bool) {
+        let (slot, name) = if hit {
+            (&self.hits, names[0])
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        // One stable counter name per (phase, outcome) so summaries and
-        // the service bench can read hit rates straight off the trace.
-        let name: &'static str = match (phase, hit) {
-            ("frontend", true) => "session.cache.frontend.hit",
-            ("frontend", false) => "session.cache.frontend.miss",
-            ("cps", true) => "session.cache.cps.hit",
-            ("cps", false) => "session.cache.cps.miss",
-            ("isel", true) => "session.cache.isel.hit",
-            ("isel", false) => "session.cache.isel.miss",
-            ("alloc", true) => "session.cache.alloc.hit",
-            ("alloc", false) => "session.cache.alloc.miss",
-            ("output", true) => "session.cache.output.hit",
-            ("output", false) => "session.cache.output.miss",
-            _ => unreachable!("unknown cache phase"),
+            (&self.misses, names[1])
         };
+        slot.fetch_add(1, Ordering::Relaxed);
         obs.counter(name, 1);
     }
 
@@ -102,34 +92,24 @@ impl HitMiss {
     }
 }
 
-/// One phase-boundary cache: input-content hash → the phase's memoized
-/// artifact or its diagnostic, with LRU recency tracking so a
-/// [`crate::CacheBudget`] can bound retention.
-type PhaseCache<T> = Mutex<LruMap<Result<Arc<T>, CompileError>>>;
+const OUTPUT_COUNTERS: [&str; 2] = ["session.cache.output.hit", "session.cache.output.miss"];
+const ALLOC_COUNTERS: [&str; 2] = ["session.cache.alloc.hit", "session.cache.alloc.miss"];
 
-/// Shared mutable state of one session: one cache per phase boundary,
-/// the MILP warm-start pool, the optional on-disk allocation cache, and
-/// the hit/miss counters.
+/// Shared mutable state of one session: the two caches, the MILP
+/// warm-start pool, the optional on-disk allocation cache, and the
+/// counters. Each map tracks LRU recency so a [`crate::CacheBudget`] can
+/// bound retention.
 #[derive(Default)]
 struct SessionState {
-    /// Token fingerprint → frontend artifact (or its diagnostic).
-    frontend: PhaseCache<FrontendArt>,
-    /// (token fp, optimizer config) → optimized SSU CPS.
-    cps: PhaseCache<CpsArt>,
-    /// CPS key → virtual-register program.
-    isel: PhaseCache<Program<Temp>>,
     /// (immediate-masked vprog fp, allocator config) → solved artifacts.
     alloc: Mutex<LruMap<Arc<SolvedAllocation>>>,
     /// (immediate-masked vprog fp, structure knobs) → raw solution vector
     /// for warm-starting a solve whose cost knobs changed.
     hints: Mutex<LruMap<Arc<Vec<f64>>>>,
     /// (token fp, full pipeline config) → finished compile (or failure).
-    output: PhaseCache<CompileOutput>,
+    output: Mutex<LruMap<Result<Arc<CompileOutput>, CompileError>>>,
     /// The on-disk allocation cache, when persistence is configured.
     disk: Option<DiskCache>,
-    frontend_stats: HitMiss,
-    cps_stats: HitMiss,
-    isel_stats: HitMiss,
     alloc_stats: HitMiss,
     output_stats: HitMiss,
     refinish_fallbacks: AtomicU64,
@@ -141,22 +121,11 @@ struct SessionState {
     disk_rejects: AtomicU64,
 }
 
-/// A point-in-time snapshot of a session's cache counters, one
-/// (hits, misses) pair per phase boundary.
+/// A point-in-time snapshot of a session's cache counters: one
+/// (hits, misses) pair per cache, plus the fallback, hint, eviction and
+/// disk counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Frontend (lex/parse/typecheck) cache hits.
-    pub frontend_hits: u64,
-    /// Frontend cache misses.
-    pub frontend_misses: u64,
-    /// CPS (convert/optimize/SSU) cache hits.
-    pub cps_hits: u64,
-    /// CPS cache misses.
-    pub cps_misses: u64,
-    /// Instruction-selection cache hits.
-    pub isel_hits: u64,
-    /// Instruction-selection cache misses.
-    pub isel_misses: u64,
     /// Allocation cache hits (MILP solve skipped, re-finish only).
     pub alloc_hits: u64,
     /// Allocation cache misses (full solve ran).
@@ -170,7 +139,7 @@ pub struct CacheStats {
     pub refinish_fallbacks: u64,
     /// Cold solves that were offered a cached warm-start vector.
     pub hint_offers: u64,
-    /// Entries evicted from the phase caches under a
+    /// Entries evicted from the session's caches under a
     /// [`crate::CacheBudget`] (zero when unbounded, the default).
     pub evict_count: u64,
     /// Estimated bytes those evictions released.
@@ -210,22 +179,24 @@ impl CacheStats {
         Self::rate(self.output_hits, self.output_misses)
     }
 
-    /// Frontend hit rate, if the frontend cache was consulted.
+    /// Always `None`: the frontend cache is gone (it never recorded a
+    /// hit). Kept only because the frozen `benchmark/` package calls it
+    /// for its `nova.cache.frontend_hit_rate` row, which therefore reads
+    /// 0; remove both with the next benchmark change (see ROADMAP).
     pub fn frontend_hit_rate(&self) -> Option<f64> {
-        Self::rate(self.frontend_hits, self.frontend_misses)
+        None
     }
 }
 
 /// A compile session: a handle over one [`CompileConfig`] plus
-/// persistent phase caches. The primary compilation entry point.
+/// persistent image and allocation caches. The primary compilation entry
+/// point.
 ///
 /// Cloning is cheap and shares the caches — hand clones to worker
 /// threads to serve concurrent clients from one artifact pool.
 #[derive(Clone)]
 pub struct Compiler {
     config: CompileConfig,
-    /// Fingerprint of the optimizer slice of the config (+ `skip_opt`).
-    opt_fp: u64,
     /// Fingerprint of the allocator slice of the config.
     alloc_fp: u64,
     /// Fingerprint of the allocator knobs that shape the MILP's variable
@@ -252,30 +223,12 @@ impl Compiler {
     /// for the session's lifetime (its fingerprints key every cache);
     /// use one session per configuration.
     pub fn new(config: CompileConfig) -> Self {
-        let opt_fp = hash_parts(&[
-            fingerprint_str(&format!("{:?}", config.opt)),
-            u64::from(config.skip_opt),
-        ]);
-        let alloc_fp = fingerprint_str(&format!("{:?}", config.alloc));
-        let a = &config.alloc;
-        let structure_fp = fingerprint_str(&format!(
-            "{:?}",
-            (
-                a.allow_spill,
-                a.redundant_cuts,
-                a.prune,
-                a.k_a,
-                a.k_b,
-                a.spill_auto
-            )
-        ));
-        let pipeline_fp = hash_parts(&[opt_fp, alloc_fp]);
+        let (structure_fp, alloc_fp, pipeline_fp) = config_fingerprints(&config);
         // An uncreatable persistence directory silently disables the disk
         // cache: persistence accelerates restarts, it never gates them.
         let disk = config.persist_dir.as_deref().and_then(DiskCache::open);
         Compiler {
             config,
-            opt_fp,
             alloc_fp,
             structure_fp,
             pipeline_fp,
@@ -294,18 +247,9 @@ impl Compiler {
     /// Current cache counters (cumulative across clones of this session).
     pub fn cache_stats(&self) -> CacheStats {
         let s = &self.state;
-        let (frontend_hits, frontend_misses) = s.frontend_stats.snapshot();
-        let (cps_hits, cps_misses) = s.cps_stats.snapshot();
-        let (isel_hits, isel_misses) = s.isel_stats.snapshot();
         let (alloc_hits, alloc_misses) = s.alloc_stats.snapshot();
         let (output_hits, output_misses) = s.output_stats.snapshot();
         CacheStats {
-            frontend_hits,
-            frontend_misses,
-            cps_hits,
-            cps_misses,
-            isel_hits,
-            isel_misses,
             alloc_hits,
             alloc_misses,
             output_hits,
@@ -360,41 +304,39 @@ impl Compiler {
         self.compile_cached(source, &obs)
     }
 
-    /// The cached pipeline: each phase is looked up by the content hash
-    /// of its input artifact + config slice, computed on miss, and the
-    /// result (success or failure) memoized.
+    /// The whole-image lookup, and behind a miss the straight-line
+    /// pipeline, whose result (success or failure) is memoized.
     fn compile_cached(&self, source: &str, obs: &Obs) -> Result<CompileOutput, CompileError> {
         let state = &*self.state;
         // Lexing is the one phase that always runs: its token stream is
-        // the root content hash every other key derives from. The lexer
-        // drops comments and the fingerprint drops spans, so edits to
-        // either are full cache hits.
+        // the content hash the image key derives from. The lexer drops
+        // comments and the fingerprint drops spans, so edits to either
+        // are full cache hits.
         let tokens = nova_frontend::lex(source)
             .map_err(|d| CompileError::with_span(Phase::Parse, "E-PARSE", source, &d))?;
         let tok_fp = fingerprint_tokens(&tokens);
         drop(tokens);
 
-        // Whole-image lookup first: on a hit nothing else runs.
         let out_key = hash_parts(&[0x6f75_7470, tok_fp, self.pipeline_fp]);
         if let Some(cached) = state.output.lock().unwrap().get(out_key).cloned() {
-            state.output_stats.record(obs, "output", true);
+            state.output_stats.record(obs, OUTPUT_COUNTERS, true);
             return cached.map(|arc| (*arc).clone());
         }
-        state.output_stats.record(obs, "output", false);
+        state.output_stats.record(obs, OUTPUT_COUNTERS, false);
 
-        let result = self.compile_phases(source, tok_fp, obs);
-        let memo = result
-            .as_ref()
-            .map(|out| Arc::new(out.clone()))
-            .map_err(Clone::clone);
-        let weight = weight_result(&memo, |out: &CompileOutput| {
-            256 + 48 * instr_count(&out.prog) + 8 * source.len() as u64
-        });
-        self.insert_evicting(&state.output, out_key, memo, weight, obs);
+        let result = self.compile_phases(source, obs);
+        let (memo, artifact_bytes) = match &result {
+            Ok(out) => (
+                Ok(Arc::new(out.clone())),
+                256 + 48 * instr_count(&out.prog) + 8 * source.len() as u64,
+            ),
+            Err(e) => (Err(e.clone()), e.message.len() as u64),
+        };
+        self.insert_evicting(&state.output, out_key, memo, 64 + artifact_bytes, obs);
         result
     }
 
-    /// Insert into one phase cache under the session's budget, folding
+    /// Insert into one cache under the session's budget, folding
     /// whatever got evicted into the counters.
     fn insert_evicting<V>(
         &self,
@@ -417,98 +359,22 @@ impl Compiler {
         }
     }
 
-    /// The phase chain behind a whole-image miss.
-    fn compile_phases(
-        &self,
-        source: &str,
-        tok_fp: u64,
-        obs: &Obs,
-    ) -> Result<CompileOutput, CompileError> {
-        let state = &*self.state;
-
-        // ---- frontend ----
-        let front = {
-            let cached = state.frontend.lock().unwrap().get(tok_fp).cloned();
-            match cached {
-                Some(r) => {
-                    state.frontend_stats.record(obs, "frontend", true);
-                    r?
-                }
-                None => {
-                    state.frontend_stats.record(obs, "frontend", false);
-                    let computed = frontend_phase(source, obs).map(|(program, info, stats)| {
-                        Arc::new(FrontendArt {
-                            program,
-                            info,
-                            static_stats: stats,
-                        })
-                    });
-                    // AST + type info scale with the source; a 4x charge
-                    // is the retained-size estimate the byte budget sees.
-                    let weight = weight_result(&computed, |_| 4 * source.len() as u64);
-                    self.insert_evicting(&state.frontend, tok_fp, computed.clone(), weight, obs);
-                    computed?
-                }
-            }
-        };
-
-        // ---- CPS ----
-        let cps_key = hash_parts(&[0x0063_7073, tok_fp, self.opt_fp]);
-        let cps_art = {
-            let cached = state.cps.lock().unwrap().get(cps_key).cloned();
-            match cached {
-                Some(r) => {
-                    state.cps_stats.record(obs, "cps", true);
-                    r?
-                }
-                None => {
-                    state.cps_stats.record(obs, "cps", false);
-                    let computed =
-                        cps_phase(&front.program, &front.info, source, &self.config, obs).map(
-                            |(cps, opt_stats, ssu_stats)| {
-                                Arc::new(CpsArt {
-                                    cps,
-                                    opt_stats,
-                                    ssu_stats,
-                                })
-                            },
-                        );
-                    let weight = weight_result(&computed, |_| 8 * source.len() as u64);
-                    self.insert_evicting(&state.cps, cps_key, computed.clone(), weight, obs);
-                    computed?
-                }
-            }
-        };
-
-        // ---- instruction selection ----
-        let isel_key = hash_parts(&[0x6973_656c, cps_key]);
-        let vprog = {
-            let cached = state.isel.lock().unwrap().get(isel_key).cloned();
-            match cached {
-                Some(r) => {
-                    state.isel_stats.record(obs, "isel", true);
-                    r?
-                }
-                None => {
-                    state.isel_stats.record(obs, "isel", false);
-                    let computed = isel_phase(&cps_art.cps, obs).map(Arc::new);
-                    let weight = weight_result(&computed, |p: &Program<Temp>| 48 * instr_count(p));
-                    self.insert_evicting(&state.isel, isel_key, computed.clone(), weight, obs);
-                    computed?
-                }
-            }
-        };
-
-        // ---- allocation ----
+    /// The pipeline behind a whole-image miss: frontend, CPS and
+    /// instruction selection run unconditionally; only allocation is
+    /// cached.
+    fn compile_phases(&self, source: &str, obs: &Obs) -> Result<CompileOutput, CompileError> {
+        let (program, info, static_stats) = frontend_phase(source, obs)?;
+        let (cps, opt_stats, ssu_stats) = cps_phase(&program, &info, source, &self.config, obs)?;
+        let vprog = isel_phase(&cps, obs)?;
         let allocation = self.allocate_cached(&vprog, obs)?;
 
         let code_size = allocation.prog.len();
         Ok(CompileOutput {
             prog: allocation.prog,
-            static_stats: front.static_stats,
-            cps: cps_art.cps.clone(),
-            opt_stats: cps_art.opt_stats.clone(),
-            ssu_stats: cps_art.ssu_stats.clone(),
+            static_stats,
+            cps: Arc::new(cps),
+            opt_stats,
+            ssu_stats,
             alloc_stats: allocation.stats,
             alloc_quality: allocation.quality,
             code_size,
@@ -535,7 +401,7 @@ impl Compiler {
         if let Some(solved) = cached {
             match refinish_with(vprog, &solved, obs) {
                 Ok(alloc) => {
-                    state.alloc_stats.record(obs, "alloc", true);
+                    state.alloc_stats.record(obs, ALLOC_COUNTERS, true);
                     return Ok(alloc);
                 }
                 Err(_) => {
@@ -565,7 +431,7 @@ impl Compiler {
                         Ok((alloc, solved)) => {
                             state.disk_hits.fetch_add(1, Ordering::Relaxed);
                             obs.counter("session.cache.disk.hit", 1);
-                            state.alloc_stats.record(obs, "alloc", true);
+                            state.alloc_stats.record(obs, ALLOC_COUNTERS, true);
                             self.remember_solved(alloc_key, masked_fp, solved, obs);
                             return Ok(alloc);
                         }
@@ -588,7 +454,7 @@ impl Compiler {
                 }
             }
         }
-        state.alloc_stats.record(obs, "alloc", false);
+        state.alloc_stats.record(obs, ALLOC_COUNTERS, false);
 
         let hint_key = hash_parts(&[0x6869_6e74, masked_fp, self.structure_fp]);
         let hint = state.hints.lock().unwrap().get(hint_key).cloned();
@@ -644,15 +510,6 @@ fn instr_count<R>(p: &Program<R>) -> u64 {
     p.blocks.iter().map(|b| b.instrs.len() as u64).sum()
 }
 
-/// Estimated retained bytes of one memoized phase result: a fixed entry
-/// overhead plus the artifact estimate (or the diagnostic's message).
-fn weight_result<T>(r: &Result<Arc<T>, CompileError>, artifact: impl Fn(&T) -> u64) -> u64 {
-    64 + match r {
-        Ok(v) => artifact(v),
-        Err(e) => e.message.len() as u64,
-    }
-}
-
 /// Estimated retained bytes of a cached [`SolvedAllocation`]: the decoded
 /// assignment and solution vector dominate, plus a flat charge for the
 /// facts and model bookkeeping.
@@ -672,11 +529,96 @@ fn hash_parts(parts: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Deterministic fingerprint of a string (config `Debug` renderings).
-fn fingerprint_str(s: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    s.hash(&mut h);
-    h.finish()
+/// Version of the cache-key derivation below. It seeds every config
+/// fingerprint, and through the allocation key names the on-disk cache
+/// files: bump it whenever a knob's meaning changes, a knob joins or
+/// leaves a key, or the allocator's output for an unchanged
+/// (program, config) pair changes — old entries then miss cleanly.
+const KEY_VERSION: u64 = 1;
+
+/// The session's three config fingerprints, `(structure, alloc,
+/// pipeline)` — each extends the one before — hashed field by field from
+/// [`KEY_VERSION`].
+///
+/// Every config struct is destructured without `..`, so a new field does
+/// not compile until someone decides which keys it belongs to. A field
+/// belongs to a key iff changing it can change the artifact stored under
+/// that key:
+///
+/// * *structure* — the allocator knobs that shape the MILP's variable
+///   space; equal structure means solution vectors transfer as warm
+///   starts (the hint pool key);
+/// * *alloc* — structure plus the cost, search and fallback knobs: the
+///   allocation cache key, in memory and on disk;
+/// * *pipeline* — alloc plus the optimizer knobs: the whole-image key.
+///
+/// `solver.threads` is in none of them: the search is bit-identical at
+/// any thread count (`tests/determinism.rs`), so a server restarted with
+/// a different `NOVA_ILP_THREADS` keeps its disk cache.
+fn config_fingerprints(config: &CompileConfig) -> (u64, u64, u64) {
+    let CompileConfig {
+        opt: OptConfig {
+            max_rounds,
+            max_size,
+        },
+        alloc:
+            AllocConfig {
+                allow_spill,
+                redundant_cuts,
+                bias,
+                prune,
+                mv_cost,
+                ld_cost,
+                st_cost,
+                k_a,
+                k_b,
+                spill_auto,
+                solver:
+                    BranchConfig {
+                        relative_gap,
+                        max_nodes,
+                        time_limit,
+                        int_tol,
+                        fathom_abs,
+                        fathom_rel,
+                        threads: _,
+                        kernel,
+                        presolve,
+                        cuts,
+                    },
+                fallback,
+            },
+        skip_opt,
+        observer: _,
+        cache_budget: _,
+        persist_dir: _,
+    } = config;
+
+    let mut structure = DefaultHasher::new();
+    KEY_VERSION.hash(&mut structure);
+    (allow_spill, redundant_cuts, prune, k_a, k_b, spill_auto).hash(&mut structure);
+
+    let mut alloc = structure.clone();
+    let costs_and_tolerances = [
+        bias,
+        mv_cost,
+        ld_cost,
+        st_cost,
+        relative_gap,
+        int_tol,
+        fathom_abs,
+        fathom_rel,
+    ];
+    costs_and_tolerances.map(|x| x.to_bits()).hash(&mut alloc);
+    (max_nodes, time_limit, presolve, cuts).hash(&mut alloc);
+    // `None` is the sparse default, so only the dense reference differs.
+    matches!(kernel, Some(KernelKind::Dense)).hash(&mut alloc);
+    (*fallback as u8).hash(&mut alloc);
+
+    let mut pipeline = alloc.clone();
+    (max_rounds, max_size, skip_opt).hash(&mut pipeline);
+
+    (structure.finish(), alloc.finish(), pipeline.finish())
 }
 
 /// Content hash of a token stream with spans dropped: the token kind,
@@ -848,9 +790,8 @@ mod tests {
         let s = c.cache_stats();
         assert_eq!(s.output_hits, 1);
         assert_eq!(s.output_misses, 1);
-        // The hit never consulted the per-phase caches.
-        assert_eq!(s.frontend_misses, 1);
-        assert_eq!(s.frontend_hits, 0);
+        // The hit never reached the allocation cache.
+        assert_eq!(s.alloc_hits + s.alloc_misses, s.output_misses);
     }
 
     #[test]
@@ -865,6 +806,7 @@ mod tests {
         assert_eq!(s.output_hits, 0);
         assert_eq!(s.alloc_hits, 1, "masked fingerprint should hit: {s:?}");
         assert_eq!(s.alloc_misses, 1);
+        assert_eq!(s.alloc_hits + s.alloc_misses, s.output_misses);
         // Bit-identical to a cold compile of the edited source.
         let cold_edited = Compiler::new(cfg()).compile(&edited).unwrap();
         assert_eq!(warm.artifact.prog, cold_edited.artifact.prog);
@@ -879,8 +821,8 @@ mod tests {
         let structural = "fun main() { let (a, b) = sram(0); sram(8) <- (a + b, a - b); 0 }";
         c.compile(structural).unwrap();
         let s = c.cache_stats();
-        assert_eq!(s.frontend_hits, 0);
-        assert_eq!(s.frontend_misses, 2);
+        assert_eq!(s.output_hits, 0);
+        assert_eq!(s.output_misses, 2);
         assert_eq!(s.alloc_hits, 0);
         assert_eq!(s.alloc_misses, 2);
     }
@@ -894,6 +836,9 @@ mod tests {
         let s = c.cache_stats();
         assert_eq!(s.output_hits, 1);
         assert_eq!(s.output_misses, 1);
+        // A frontend failure is the one image miss that never reaches
+        // the allocation cache.
+        assert_eq!(s.alloc_hits + s.alloc_misses, 0);
     }
 
     #[test]
@@ -905,6 +850,24 @@ mod tests {
         let s = c.cache_stats();
         assert_eq!(s.output_hits, 1);
         assert_eq!(s.output_misses, 1);
+    }
+
+    #[test]
+    fn config_fingerprints_track_artifact_relevant_knobs_only() {
+        let fps = |b: crate::CompileConfigBuilder| config_fingerprints(&b.build());
+        let base = fps(CompileConfig::builder().solver_threads(1));
+        // Thread count never changes an artifact: no key moves.
+        assert_eq!(fps(CompileConfig::builder().solver_threads(4)), base);
+        // A search knob moves the alloc and image keys; the model's
+        // variable space (and so the hint-pool key) is unchanged.
+        let (structure, alloc, pipeline) = fps(CompileConfig::builder().solver_gap(0.0));
+        assert_eq!(structure, base.0);
+        assert_ne!(alloc, base.1);
+        assert_ne!(pipeline, base.2);
+        // An optimizer knob moves only the image key.
+        let (structure, alloc, pipeline) = fps(CompileConfig::builder().skip_opt(true));
+        assert_eq!((structure, alloc), (base.0, base.1));
+        assert_ne!(pipeline, base.2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use nova::{simulate_chip, CompileConfig, Compiler, SimMemory};
+use nova::{simulate_chip, ChipConfig, CompileConfig, Compiler, SimMemory};
 
 const PROGRAM: &str = r#"
 // Swap two pairs of SRAM words and store their sums.
@@ -18,10 +18,8 @@ fun main() {
 
 fn main() {
     // 1. Compile: parse -> typecheck -> CPS -> optimize -> SSU -> select ->
-    //    ILP bank assignment + transfer coloring -> A/B coloring. One
-    //    builder configures the solver and the simulation shape together.
-    let cfg = CompileConfig::builder().engines(1).contexts(1).build();
-    let compiler = Compiler::new(cfg.clone());
+    //    ILP bank assignment + transfer coloring -> A/B coloring.
+    let compiler = Compiler::new(CompileConfig::default());
     let out = compiler.compile_output(PROGRAM).expect("compiles");
 
     println!("=== optimized CPS ===");
@@ -45,11 +43,15 @@ fn main() {
         st.moves, st.spills
     );
 
-    // 2. Execute on the simulated micro-engine, with the simulation shape
-    //    the builder configured.
+    // 2. Execute on one simulated micro-engine context.
+    let chip = ChipConfig {
+        engines: 1,
+        contexts: 1,
+        ..ChipConfig::default()
+    };
     let mut mem = SimMemory::with_sizes(512, 64, 64);
     mem.sram[100..104].copy_from_slice(&[10, 20, 30, 40]);
-    let res = simulate_chip(&out.prog, &mut mem, &cfg.sim.chip_config()).expect("runs");
+    let res = simulate_chip(&out.prog, &mut mem, &chip).expect("runs");
     println!("=== execution ===");
     println!("cycles: {}, instructions: {}", res.cycles, res.instructions);
     println!("sram[200..204] = {:?}", &mem.sram[200..204]);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything a PR must keep green.
 #
-#   scripts/tier1.sh          build + full test suite
+#   scripts/tier1.sh          build + full test suite, plus a compile
+#                             check of the frozen benchmark/ package
+#                             against the product API
 #   scripts/tier1.sh --lint   also run rustfmt --check and clippy with
 #                             warnings denied (mirrors CI's lint job)
 #   scripts/tier1.sh --smoke  also run every `bench` writer scenario at
@@ -41,6 +43,12 @@ done
 
 echo "== cargo build --release =="
 cargo build --release
+
+# benchmark/ is its own frozen workspace with path deps on crates/*: an
+# API deletion that breaks it must fail here, not only in the CI step
+# that runs its tests.
+echo "== cargo check --manifest-path benchmark/Cargo.toml =="
+cargo check --manifest-path benchmark/Cargo.toml
 
 # --workspace: the root manifest is both a package and a workspace, so a
 # bare `cargo test` runs only the umbrella package's integration tests

@@ -71,7 +71,7 @@ fn one_entry_budget_recompiles_evicted_revisions_bit_identically() {
 #[test]
 fn evict_counter_algebra_is_exact_and_deterministic() {
     // At a one-entry budget every cold structural compile after the
-    // first re-inserts the same set of phase entries, evicting its
+    // first re-inserts the same set of cache entries, evicting its
     // predecessor's: the A,B,A stream evicts exactly twice what the A,B
     // prefix does, and identical runs agree on every counter.
     let a = classifier(0, CLASSIFIER_RULES);
@@ -99,9 +99,9 @@ fn evict_counter_algebra_is_exact_and_deterministic() {
 #[test]
 fn eviction_in_other_phases_keeps_constant_variant_solve_free() {
     // v0 and v1 share the immediate-masked allocation key. A one-entry
-    // budget churns the frontend/CPS/isel caches between them, but the
-    // allocation entry is only displaced by another *allocation* insert
-    // — so v1 still refinishes without a solve.
+    // budget churns the image cache between them, but the allocation
+    // entry is only displaced by another *allocation* insert — so v1
+    // still refinishes without a solve.
     let stream = [
         classifier(0, CLASSIFIER_RULES),
         classifier(1, CLASSIFIER_RULES),

@@ -1,6 +1,6 @@
 //! Session-cache equivalence under random edit streams.
 //!
-//! The per-phase invalidation contracts (comment edit → image hit,
+//! The per-edit invalidation contracts (comment edit → image hit,
 //! constant edit → solve-free re-finish, structural edit → cold path)
 //! are unit-tested next to the cache in `nova::session`. This file
 //! checks the property those contracts exist to guarantee: *whatever*
@@ -72,8 +72,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For every revision in a random edit stream, the warm session's
-    /// artifact equals a throwaway cold session's, and the stream never
-    /// needs a re-finish fallback.
+    /// artifact equals a throwaway cold session's, the stream never needs
+    /// a re-finish fallback, and — the session being a straight line
+    /// behind the image cache — every image miss reaches exactly one
+    /// allocation lookup.
     #[test]
     fn warm_session_matches_cold_on_any_edit_stream(
         edits in proptest::collection::vec(edit_strategy(), 1..8),
@@ -99,5 +101,9 @@ proptest! {
             edits.len() as u64
         );
         prop_assert_eq!(stats.refinish_fallbacks, 0);
+        prop_assert_eq!(
+            stats.alloc_hits + stats.alloc_misses,
+            stats.output_misses
+        );
     }
 }
