@@ -266,16 +266,16 @@ mod tests {
     fn markdown_lists_every_check_and_verdict() {
         let doc = |pivots_per_sec: f64| {
             Json::parse(&format!(
-                r#"{{"bench":"solver","programs":[{{"name":"AES","runs":[
-                    {{"threads":1,"pivots_per_sec":{pivots_per_sec},"proven_optimal":true,
-                      "objective":75.9436,"spills":0,"moves":13,
-                      "solve_s":0.2,"pivots":3633}}]}}]}}"#
+                r#"{{"bench":"solver","programs":[{{"name":"AES",
+                    "pivots_per_sec":{pivots_per_sec},"proven_optimal":true,
+                    "objective":75.9436,"spills":0,"moves":13,
+                    "solve_s":0.2,"pivots":3633}}]}}"#
             ))
             .unwrap()
         };
         let md = markdown(&gate(&doc(20_000.0), &doc(14_000.0), false), "solver");
-        assert!(md.contains("| programs[AES]/runs[1]/pivots_per_sec | 20000 | 14000 | ≥ −20% |"));
-        assert!(md.contains("| programs[AES]/runs[1]/pivots_per_sec | 1500 | 14000 | ≥ 1500 |"));
+        assert!(md.contains("| programs[AES]/pivots_per_sec | 20000 | 14000 | ≥ −20% |"));
+        assert!(md.contains("| programs[AES]/pivots_per_sec | 1500 | 14000 | ≥ 1500 |"));
         assert!(md.contains("**FAIL**"));
         assert!(md.contains("FAIL: 9 checks, 1 failing"));
     }

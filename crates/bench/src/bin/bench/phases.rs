@@ -22,8 +22,7 @@
 //! since the previous phase boundary; phases run sequentially, so the
 //! attribution is exact up to the recorder's own bookkeeping.
 //!
-//! The compile is pinned to one solver thread and an exact gap so the
-//! gated counters (pivots, simulated cycles/packets) are bit-identical
+//! The compile runs at an exact gap so the gated counters (pivots, simulated cycles/packets) are bit-identical
 //! across hosts and reruns.
 
 use bench::json::Json;
@@ -198,7 +197,6 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
             phase_alloc.clone() as Arc<dyn Recorder>,
         ]));
         let cfg = CompileConfig::builder()
-            .solver_threads(1)
             .solver_gap(0.0)
             .observer_handle(obs.clone())
             .build();
@@ -329,7 +327,6 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
             "config",
             Json::obj([
                 ("packets", Json::int(PACKETS)),
-                ("solver_threads", Json::int(1)),
                 ("relative_gap", Json::Num(0.0)),
             ]),
         ),

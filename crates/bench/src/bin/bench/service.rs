@@ -7,8 +7,7 @@
 //! bit-identity of warm vs cold artifacts) are deterministic and gated
 //! exactly, the rates get floors.
 //!
-//! One worker keeps the counter algebra exact; the compile is pinned to
-//! one solver thread so warm and cold allocations are bit-identical.
+//! One worker keeps the counter algebra exact.
 
 use bench::json::Json;
 use bench::service::{run_service, service_json};

@@ -1,93 +1,41 @@
 //! `bench solver` — machine-readable solver performance trajectory:
-//! compiles each §11 benchmark at 1, 2, and 4 solver threads and records
-//! solve wall/CPU time, node/pivot counts, warm-start hit rates, and the
+//! compiles each §11 benchmark once at `relative_gap = 0` and records
+//! solve wall time, node/pivot counts, warm-start hit rates, and the
 //! allocation quality (objective, moves, spills), plus one simulator
 //! throughput sample per program (`BENCH_solver.json`), so successive
-//! PRs can diff solver performance. The smoke point is NAT at one thread.
-//!
-//! The thread sweep runs with `relative_gap = 0`, which makes the optimum
-//! unique: every thread count must report the same objective and spill
-//! count, so the file doubles as a determinism check.
+//! PRs can diff solver performance. The smoke point is NAT.
 
 use bench::json::Json;
-use bench::{compile, run_chip_throughput, solve_stats_json, Benchmark};
+use bench::{compile, run_chip_throughput, Benchmark};
 use nova::CompileConfig;
 use std::time::Instant;
 
-const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
-
-pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
-    let (benchmarks, requested): (&[Benchmark], &[usize]) = if smoke {
-        (&[Benchmark::Nat], &THREAD_SWEEP[..1])
+pub fn run(smoke: bool, _violations: &mut Vec<String>) -> Json {
+    let benchmarks: &[Benchmark] = if smoke {
+        &[Benchmark::Nat]
     } else {
-        (&Benchmark::ALL, &THREAD_SWEEP)
+        &Benchmark::ALL
     };
-    let avail = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    // Clamp the sweep to the host: a 4-thread run on a 1-core box only
-    // measures scheduler interleaving and makes cpu_s/solve_s ratios
-    // meaningless. The requested sweep is still recorded in the JSON so
-    // a clamped file is recognizable.
-    let mut sweep: Vec<usize> = requested.iter().map(|&t| t.min(avail)).collect();
-    sweep.dedup();
-    if sweep.len() < requested.len() {
-        eprintln!("host has {avail} core(s); clamping thread sweep {requested:?} -> {sweep:?}");
-    }
     let mut programs = Vec::new();
     for &b in benchmarks {
-        eprintln!("{}:", b.name());
-        let mut runs = Vec::new();
-        let mut last = None;
-        let mut objective: Option<f64> = None;
-        let mut consistent = true;
-        for &threads in &sweep {
-            // Exact gap: the optimum is unique, so the sweep doubles as a
-            // cross-thread determinism check.
-            let cfg = CompileConfig::builder()
-                .solver_threads(threads)
-                .solver_gap(0.0)
-                .build();
-            let t0 = Instant::now();
-            let out = compile(b, &cfg);
-            let compile_s = t0.elapsed().as_secs_f64();
-            let st = &out.alloc_stats;
-            eprintln!(
-                "  {} threads: solve {:.2}s, {} nodes, {} pivots, {:.0}% warm, \
-                 objective {:.3}, {} moves, {} spills",
-                threads,
-                st.solve.total_time.as_secs_f64(),
-                st.solve.nodes,
-                st.solve.simplex_iterations,
-                100.0 * st.solve.warm_hit_rate(),
-                st.objective,
-                st.moves,
-                st.spills,
-            );
-            match objective {
-                None => objective = Some(st.objective),
-                Some(prev) => {
-                    // Tolerance matches the solver's fathoming margin:
-                    // sub-margin incumbent ties are schedule-dependent.
-                    if (prev - st.objective).abs() > 5e-5 {
-                        consistent = false;
-                        violations.push(format!(
-                            "{}: objective drifted across thread counts ({prev} vs {})",
-                            b.name(),
-                            st.objective
-                        ));
-                    }
-                }
-            }
-            let mut run = solve_stats_json(st);
-            if let Json::Obj(pairs) = &mut run {
-                pairs.push(("compile_s".to_string(), Json::Num(compile_s)));
-            }
-            runs.push(run);
-            last = Some(out);
-        }
-        let out = last.expect("at least one thread count");
+        // Exact gap: the optimum objective is unique.
+        let cfg = CompileConfig::builder().solver_gap(0.0).build();
+        let t0 = Instant::now();
+        let out = compile(b, &cfg);
+        let compile_s = t0.elapsed().as_secs_f64();
         let st = &out.alloc_stats;
+        eprintln!(
+            "{}: solve {:.2}s, {} nodes, {} pivots, {:.0}% warm, \
+             objective {:.3}, {} moves, {} spills",
+            b.name(),
+            st.solve.total_time.as_secs_f64(),
+            st.solve.nodes,
+            st.solve.simplex_iterations,
+            100.0 * st.solve.warm_hit_rate(),
+            st.objective,
+            st.moves,
+            st.spills,
+        );
         let payload = match b {
             Benchmark::Aes => 16u32,
             Benchmark::Kasumi => 16,
@@ -100,7 +48,7 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
         );
         // `degraded` marks builds that fell down the allocator fallback
         // ladder (stage > 0): the gate reports them but never gates.
-        programs.push(Json::obj([
+        let head = [
             ("name", Json::str(b.name())),
             ("degraded", Json::Bool(out.alloc_quality.stage > 0)),
             (
@@ -111,11 +59,9 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
                     ("objective_terms", Json::int(st.model.objective_terms)),
                 ]),
             ),
-            ("runs", Json::Arr(runs)),
-            (
-                "objective_consistent_across_threads",
-                Json::Bool(consistent),
-            ),
+        ];
+        let tail = [
+            ("compile_s", Json::Num(compile_s)),
             ("code_size", Json::int(out.code_size)),
             (
                 "simulate",
@@ -127,28 +73,41 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
                     ("mbps", Json::Num(sim.mbps)),
                 ]),
             ),
-        ]));
+        ];
+        programs.push(Json::obj(
+            head.into_iter().chain(solve_stats(st)).chain(tail),
+        ));
     }
     Json::obj([
         ("bench", Json::str("solver")),
-        (
-            "config",
-            Json::obj([
-                ("relative_gap", Json::Num(0.0)),
-                (
-                    "thread_sweep",
-                    Json::Arr(sweep.iter().map(|&t| Json::int(t)).collect()),
-                ),
-                (
-                    "requested_thread_sweep",
-                    Json::Arr(requested.iter().map(|&t| Json::int(t)).collect()),
-                ),
-            ]),
-        ),
-        (
-            "host",
-            Json::obj([("available_parallelism", Json::int(avail))]),
-        ),
+        ("config", Json::obj([("relative_gap", Json::Num(0.0))])),
         ("programs", Json::Arr(programs)),
     ])
+}
+
+/// One solve's [`ilp::SolveStats`] plus the allocation's objective and
+/// move/spill counts.
+fn solve_stats(st: &nova::AllocStats) -> Vec<(&'static str, Json)> {
+    let s = &st.solve;
+    vec![
+        ("root_s", Json::Num(s.root_time.as_secs_f64())),
+        ("solve_s", Json::Num(s.total_time.as_secs_f64())),
+        ("nodes", Json::int(s.nodes)),
+        ("pivots", Json::int(s.simplex_iterations)),
+        ("pivots_per_sec", Json::Num(s.pivots_per_sec())),
+        ("kernel", Json::str(s.kernel.clone())),
+        ("refactorizations", Json::int(s.refactorizations)),
+        ("eta_pivots", Json::int(s.eta_pivots)),
+        ("lu_fill_nnz", Json::int(s.lu_fill_nnz)),
+        ("warm_hits", Json::int(s.warm_hits)),
+        ("warm_misses", Json::int(s.warm_misses)),
+        ("warm_hit_rate", Json::Num(s.warm_hit_rate())),
+        ("activated_rows", Json::int(s.activated_rows)),
+        ("presolved_rows", Json::int(s.presolved_rows)),
+        ("gap", Json::Num(s.gap)),
+        ("proven_optimal", Json::Bool(s.proven_optimal)),
+        ("objective", Json::Num(st.objective)),
+        ("moves", Json::int(st.moves)),
+        ("spills", Json::int(st.spills)),
+    ]
 }

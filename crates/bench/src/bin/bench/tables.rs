@@ -112,21 +112,10 @@ pub fn fig7() {
         ]);
         telemetry.push(vec![
             b.name().to_string(),
-            st.solve.threads.to_string(),
             st.solve.simplex_iterations.to_string(),
             format!("{:.0}%", 100.0 * st.solve.warm_hit_rate()),
             st.solve.activated_rows.to_string(),
             st.solve.presolved_rows.to_string(),
-            format!("{:.2}", st.solve.cpu_time.as_secs_f64()),
-            format!(
-                "[{}]",
-                st.solve
-                    .per_thread_nodes
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
         ]);
     }
     println!(
@@ -143,16 +132,7 @@ pub fn fig7() {
     println!(
         "{}",
         table(
-            &[
-                "program",
-                "threads",
-                "pivots",
-                "warm-hit",
-                "lazy-act",
-                "presolved",
-                "cpu(s)",
-                "nodes/thread"
-            ],
+            &["program", "pivots", "warm-hit", "lazy-act", "presolved"],
             &telemetry
         )
     );

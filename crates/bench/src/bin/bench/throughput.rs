@@ -8,9 +8,9 @@
 //! saturates) is visible in the data, not just asserted
 //! (`BENCH_throughput.json`). The smoke point is NAT on 2 engines.
 //!
-//! The compile is pinned to one solver thread and an exact gap so the
-//! allocated program — and therefore the deterministic chip simulation —
-//! is bit-identical across hosts and reruns.
+//! The compile runs at an exact gap so the allocated program — and
+//! therefore the deterministic chip simulation — is bit-identical across
+//! hosts and reruns.
 
 use bench::json::Json;
 use bench::{chip_result_json, compile, run_chip_throughput, table, Benchmark};
@@ -32,10 +32,7 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
         (&PROGRAMS[..], &ENGINE_SWEEP[..])
     };
     println!("Throughput on the simulated 233 MHz IXP1200 ({CONTEXTS} contexts/engine)\n");
-    let cfg = CompileConfig::builder()
-        .solver_threads(1)
-        .solver_gap(0.0)
-        .build();
+    let cfg = CompileConfig::builder().solver_gap(0.0).build();
     let mut programs = Vec::new();
     let mut rows = Vec::new();
     for &(b, payload) in programs_run {
@@ -170,7 +167,6 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
                     "engine_sweep",
                     Json::Arr(engine_sweep.iter().map(|&e| Json::int(e)).collect()),
                 ),
-                ("solver_threads", Json::int(1)),
                 ("relative_gap", Json::Num(0.0)),
             ]),
         ),

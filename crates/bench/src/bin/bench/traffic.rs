@@ -10,8 +10,7 @@
 //! gated exactly, host rates get a generous floor. The smoke point is
 //! the 100k-packet × 2-chip row.
 //!
-//! The compile is pinned to one solver thread and an exact gap so the
-//! allocated NAT program — and therefore the simulation — is
+//! The compile runs at an exact gap so the allocated NAT program — and therefore the simulation — is
 //! bit-identical across hosts and reruns.
 
 use bench::json::Json;
@@ -59,10 +58,7 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
         (&SWEEP[..], &BURST_SWEEP[..])
     };
     println!("Multi-chip traffic sweep (NAT, fast-path mode, flow-hash sharding)\n");
-    let cfg = CompileConfig::builder()
-        .solver_threads(1)
-        .solver_gap(0.0)
-        .build();
+    let cfg = CompileConfig::builder().solver_gap(0.0).build();
     let out = compile(Benchmark::Nat, &cfg);
     let mut sweep = Vec::new();
     let mut rows = Vec::new();
@@ -155,7 +151,6 @@ pub fn run(smoke: bool, violations: &mut Vec<String>) -> Json {
                 ),
                 ("benchmark", Json::str("NAT")),
                 ("mode", Json::str("fast_path")),
-                ("solver_threads", Json::int(1)),
                 ("relative_gap", Json::Num(0.0)),
             ]),
         ),

@@ -27,12 +27,13 @@ pub const THROUGHPUT_DROP: f64 = 0.15;
 const EXACT_REL_EPS: f64 = 1e-9;
 /// Headroom above the baseline for ILP-phase wall time (host noise).
 pub const ILP_WALL_HEADROOM: f64 = 1.0;
-/// Headroom for ILP-phase allocation counts: near-deterministic at one
-/// solver thread; the slack absorbs hash-map growth wobble only.
+/// Headroom for ILP-phase allocation counts: near-deterministic; the
+/// slack absorbs hash-map growth wobble only.
 pub const ILP_ALLOCS_HEADROOM: f64 = 0.25;
-/// Headroom for the solver pivot counter: identical runs land a few
-/// pivots apart (±3 on ~3600), so exact flakes; +1% still trips on any
-/// real pricing or kernel change.
+/// Headroom for the solver pivot counter: deterministic for one model,
+/// but an equal-cost reordering of its rows moves it by a few (3631 vs
+/// 3634 on AES), which is not a regression; +1% still trips on any real
+/// pricing or kernel change.
 pub const ILP_PIVOTS_HEADROOM: f64 = 0.01;
 /// How much a host-side simulation rate may drop. Generous: it exists to
 /// catch the fast path regressing to cycle-slice speed (roughly an order
@@ -117,13 +118,13 @@ type Row = (&'static str, &'static str, &'static str, Rule);
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
     // Times are informational; the objective is unique at gap 0.
-    ("solver", "programs[name]/runs[threads]", "pivots_per_sec", Floor { drop: PIVOTS_PER_SEC_DROP }),
-    ("solver", "programs[name]/runs[threads]", "pivots_per_sec", AbsFloor(MIN_SOLVER_PPS)),
-    ("solver", "programs[name]/runs[threads]", "objective", Exact),
-    ("solver", "programs[name]/runs[threads]", "spills,moves", NoIncrease),
-    ("solver", "programs[name]/runs[threads]", "spills", Zero),
-    ("solver", "programs[name]/runs[threads]", "proven_optimal", AbsFloor(1.0)),
-    ("solver", "programs[name]/runs[threads]", "solve_s,pivots", Info),
+    ("solver", "programs[name]", "pivots_per_sec", Floor { drop: PIVOTS_PER_SEC_DROP }),
+    ("solver", "programs[name]", "pivots_per_sec", AbsFloor(MIN_SOLVER_PPS)),
+    ("solver", "programs[name]", "objective", Exact),
+    ("solver", "programs[name]", "spills,moves", NoIncrease),
+    ("solver", "programs[name]", "spills", Zero),
+    ("solver", "programs[name]", "proven_optimal", AbsFloor(1.0)),
+    ("solver", "programs[name]", "solve_s,pivots", Info),
     // Mb/s is redundant while cycles are exact, but it is the headline
     // rate and survives a deliberate relaxation of the cycle gate.
     ("throughput", "programs[name]/engine_sweep[engines]", "mbps", Floor { drop: THROUGHPUT_DROP }),
@@ -183,15 +184,13 @@ const TABLE: &[Row] = &[
     ("rollout", "scenarios[id]/stages[chip]", "post_p99,baseline_p99,candidate_p99", Exact),
     ("rollout", "comparison", "staged_min_healthy,bang_min_healthy,staging_gain", Exact),
     ("rollout", "comparison", "staging_gain", AbsFloor(STAGING_GAIN_FLOOR)),
-    // Bit-identical reports at every host thread count.
-    ("rollout", "", "determinism_mismatches", Zero),
     ("rollout", "", "old_compile_ms,new_compile_ms,sim_wall_ms", Info),
 ];
 
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct Check {
-    /// Where the metric lives, e.g. `"programs[AES]/runs[1]/objective"`.
+    /// Where the metric lives, e.g. `"programs[AES]/objective"`.
     pub name: String,
     /// Baseline value (the rule's constant for baseline-free rules).
     pub baseline: f64,
@@ -406,10 +405,10 @@ mod tests {
 
     fn solver_program(degraded: bool, pivots_per_sec: f64, objective: f64, spills: f64) -> Json {
         Json::parse(&format!(
-            r#"{{"bench":"solver","programs":[{{"name":"AES","degraded":{degraded},"runs":[
-                {{"threads":1,"pivots_per_sec":{pivots_per_sec},"proven_optimal":true,
-                  "objective":{objective},"spills":{spills},"moves":13,
-                  "solve_s":0.2,"pivots":3633}}]}}]}}"#
+            r#"{{"bench":"solver","programs":[{{"name":"AES","degraded":{degraded},
+                "pivots_per_sec":{pivots_per_sec},"proven_optimal":true,
+                "objective":{objective},"spills":{spills},"moves":13,
+                "solve_s":0.2,"pivots":3633}}]}}"#
         ))
         .unwrap()
     }
@@ -422,14 +421,14 @@ mod tests {
         solver_program(true, pivots_per_sec, objective, spills)
     }
 
-    const AES_T1: &str = "programs[AES]/runs[1]";
+    const AES: &str = "programs[AES]";
 
     #[test]
     fn identical_solver_docs_pass() {
         let doc = solver_doc(17795.8, 75.9436, 0.0);
         let r = gate(&doc, &doc, false);
         assert!(r.passed(), "{r:?}");
-        assert!(has(&r, &format!("{AES_T1}/pivots_per_sec")));
+        assert!(has(&r, &format!("{AES}/pivots_per_sec")));
     }
 
     #[test]
@@ -442,7 +441,7 @@ mod tests {
         assert!(!r.passed());
         let failing: Vec<_> = r.checks.iter().filter(|c| !c.pass).collect();
         assert_eq!(failing.len(), 1);
-        assert_eq!(failing[0].name, format!("{AES_T1}/pivots_per_sec"));
+        assert_eq!(failing[0].name, format!("{AES}/pivots_per_sec"));
     }
 
     #[test]
@@ -458,7 +457,7 @@ mod tests {
         let cur = solver_doc(20_000.0, 75.9437, 0.0);
         let r = gate(&base, &cur, false);
         assert!(!r.passed());
-        assert!(failed(&r, &format!("{AES_T1}/objective")));
+        assert!(failed(&r, &format!("{AES}/objective")));
     }
 
     #[test]
@@ -482,7 +481,7 @@ mod tests {
         let r = gate(&base, &cur, false);
         assert!(r.passed(), "{r:?}");
         assert!(r.checks.iter().all(|c| c.rule == Info));
-        assert!(has(&r, &format!("{AES_T1}/spills")));
+        assert!(has(&r, &format!("{AES}/spills")));
     }
 
     #[test]
@@ -549,7 +548,7 @@ mod tests {
         let rate = r
             .checks
             .iter()
-            .find(|c| c.name == format!("{AES_T1}/pivots_per_sec"))
+            .find(|c| c.name == format!("{AES}/pivots_per_sec"))
             .unwrap();
         assert_eq!((rate.baseline, rate.current), (20_000.0, 14_000.0));
         assert_eq!(rate.rule, Floor { drop: 0.20 });
@@ -568,7 +567,7 @@ mod tests {
             .unwrap()
         };
         assert!(gate(&doc(3633, 95900), &doc(3633, 95900), false).passed());
-        // Pivots get ±1% slack (identical runs land a few pivots apart);
+        // Pivots get +1% slack (an equal-cost row reordering moves them by a few);
         // a real pricing regression still trips the ceiling.
         assert!(gate(&doc(3633, 95900), &doc(3636, 95900), false).passed());
         assert!(!gate(&doc(3633, 95900), &doc(3700, 95900), false).passed());
@@ -874,12 +873,7 @@ mod tests {
         assert_eq!(r.errors.len(), 2, "{:?}", r.errors);
     }
 
-    fn rollout_doc(
-        update_cycles: u64,
-        recovered: i64,
-        staged_min_healthy: u64,
-        mismatches: u64,
-    ) -> Json {
+    fn rollout_doc(update_cycles: u64, recovered: i64, staged_min_healthy: u64) -> Json {
         let stage = |chip: u64, outcome: &str, rb: i64| {
             format!(
                 r#"{{"chip":{chip},"outcome":"{outcome}","swap_cycle":2760640,
@@ -910,7 +904,6 @@ mod tests {
                     "stages":[{w0}]}}],
                 "comparison":{{"staged_min_healthy":{staged_min_healthy},
                   "bang_min_healthy":0,"staging_gain":{gain}}},
-                "determinism_mismatches":{mismatches},
                 "old_compile_ms":6.0,"new_compile_ms":0.5,"sim_wall_ms":4800.0}}"#,
             s0 = stage(0, "committed", -1),
             s1 = stage(1, "committed", -1),
@@ -922,7 +915,7 @@ mod tests {
 
     #[test]
     fn identical_rollout_docs_pass() {
-        let doc = rollout_doc(4214, 8633, 2, 0);
+        let doc = rollout_doc(4214, 8633, 2);
         let r = gate(&doc, &doc, false);
         assert!(r.passed(), "{r:?}");
         assert!(has(&r, "scenarios[healthy]/stages[0]/update_cycles"));
@@ -945,31 +938,23 @@ mod tests {
 
     #[test]
     fn rollout_update_latency_drift_fails_exactly() {
-        let base = rollout_doc(4214, 8633, 2, 0);
-        let r = gate(&base, &rollout_doc(4215, 8633, 2, 0), false);
+        let base = rollout_doc(4214, 8633, 2);
+        let r = gate(&base, &rollout_doc(4215, 8633, 2), false);
         assert!(!r.passed());
         assert!(failed(&r, "scenarios[healthy]/max_update_cycles"));
     }
 
     #[test]
     fn rollout_without_post_revert_recovery_fails_floor() {
-        let base = rollout_doc(4214, 8633, 2, 0);
-        let r = gate(&base, &rollout_doc(4214, 0, 2, 0), false);
+        let base = rollout_doc(4214, 8633, 2);
+        let r = gate(&base, &rollout_doc(4214, 0, 2), false);
         assert!(!r.passed());
         assert!(floor_failed(&r, "scenarios[wedge0]/rollback_recovered"));
     }
 
     #[test]
-    fn rollout_determinism_mismatch_fails_regardless_of_baseline() {
-        let doc = rollout_doc(4214, 8633, 2, 1);
-        let r = gate(&doc, &doc, false);
-        assert!(!r.passed());
-        assert!(failed(&r, "determinism_mismatches"));
-    }
-
-    #[test]
     fn rollout_zero_staging_gain_fails_floor() {
-        let doc = rollout_doc(4214, 8633, 0, 0);
+        let doc = rollout_doc(4214, 8633, 0);
         let r = gate(&doc, &doc, false);
         assert!(!r.passed());
         assert!(floor_failed(&r, "comparison/staging_gain"));
@@ -977,7 +962,7 @@ mod tests {
 
     #[test]
     fn rollout_missing_sections_are_structural_errors() {
-        let base = rollout_doc(4214, 8633, 2, 0);
+        let base = rollout_doc(4214, 8633, 2);
         let cur = Json::parse(r#"{"bench":"rollout"}"#).unwrap();
         let r = gate(&base, &cur, false);
         assert!(!r.passed());
@@ -999,10 +984,10 @@ mod tests {
         // two programs, on a host half as fast.
         let base = Json::parse(
             r#"{"bench":"solver","programs":[
-              {"name":"AES","runs":[{"threads":1,"pivots_per_sec":20000,"proven_optimal":true,
-                "objective":75.9436,"spills":0,"moves":13,"solve_s":0.2,"pivots":3633}]},
-              {"name":"NAT","runs":[{"threads":1,"pivots_per_sec":80000,"proven_optimal":true,
-                "objective":32.9167,"spills":0,"moves":5,"solve_s":0.02,"pivots":900}]}]}"#,
+              {"name":"AES","pivots_per_sec":20000,"proven_optimal":true,
+                "objective":75.9436,"spills":0,"moves":13,"solve_s":0.2,"pivots":3633},
+              {"name":"NAT","pivots_per_sec":80000,"proven_optimal":true,
+                "objective":32.9167,"spills":0,"moves":5,"solve_s":0.02,"pivots":900}]}"#,
         )
         .unwrap();
         let cur = solver_doc(9_000.0, 75.9436, 0.0);
@@ -1013,10 +998,10 @@ mod tests {
         assert!(!gate(&base, &solver_doc(9_000.0, 75.9437, 0.0), true).passed());
         assert!(floor_failed(
             &gate(&base, &solver_doc(900.0, 75.9436, 0.0), true),
-            &format!("{AES_T1}/pivots_per_sec")
+            &format!("{AES}/pivots_per_sec")
         ));
         // A point the baseline never had cannot be vouched for.
-        let stray = Json::parse(r#"{"bench":"solver","programs":[{"name":"DES","runs":[]}]}"#);
+        let stray = Json::parse(r#"{"bench":"solver","programs":[{"name":"DES"}]}"#);
         assert!(!gate(&base, &stray.unwrap(), true).passed());
     }
 

@@ -125,7 +125,7 @@ pub fn setup_memory(b: Benchmark, count: usize, payload_bytes: u32) -> SimMemory
 
 /// Run a compiled benchmark over `count` packets with `payload_bytes` of
 /// payload on a simulated chip of `engines` micro-engines with `contexts`
-/// contexts each. Deterministic for any host thread count.
+/// contexts each.
 pub fn run_chip_throughput(
     b: Benchmark,
     out: &CompileOutput,
@@ -233,7 +233,6 @@ pub fn traffic_topology(chips: usize, mode: SimMode) -> TopologyConfig {
         chip: ChipConfig {
             max_cycles: 1 << 36,
             slice: 32,
-            host_threads: 1,
             mode,
             ..ChipConfig::default()
         },
@@ -315,8 +314,8 @@ pub fn traffic_result_json(
 ) -> json::Json {
     use json::Json;
     let wall_s = wall.as_secs_f64().max(1e-9);
-    // Host work is proportional to the *sum* of per-chip cycles (chips
-    // share one coordinator thread pool on a small CI host).
+    // Host work is proportional to the *sum* of per-chip cycles (one
+    // host thread per chip, time-slicing the cores of a small CI host).
     let host_cycles: u64 = res.chips.iter().map(|c| c.result.cycles).sum();
     let lat = |l: &ixp_sim::LatencySummary| {
         Json::obj([
@@ -708,41 +707,6 @@ pub mod json {
             }
         }
     }
-}
-
-/// JSON view of one solve's [`ilp::SolveStats`] plus the allocation's
-/// objective and move/spill counts — the shared shape used by
-/// `BENCH_solver.json`.
-pub fn solve_stats_json(st: &nova::AllocStats) -> json::Json {
-    use json::Json;
-    let s = &st.solve;
-    Json::obj([
-        ("threads", Json::int(s.threads)),
-        ("root_s", Json::Num(s.root_time.as_secs_f64())),
-        ("solve_s", Json::Num(s.total_time.as_secs_f64())),
-        ("cpu_s", Json::Num(s.cpu_time.as_secs_f64())),
-        ("nodes", Json::int(s.nodes)),
-        ("pivots", Json::int(s.simplex_iterations)),
-        ("pivots_per_sec", Json::Num(s.pivots_per_sec())),
-        ("kernel", Json::str(s.kernel.clone())),
-        ("refactorizations", Json::int(s.refactorizations)),
-        ("eta_pivots", Json::int(s.eta_pivots)),
-        ("lu_fill_nnz", Json::int(s.lu_fill_nnz)),
-        ("warm_hits", Json::int(s.warm_hits)),
-        ("warm_misses", Json::int(s.warm_misses)),
-        ("warm_hit_rate", Json::Num(s.warm_hit_rate())),
-        ("activated_rows", Json::int(s.activated_rows)),
-        ("presolved_rows", Json::int(s.presolved_rows)),
-        ("gap", Json::Num(s.gap)),
-        ("proven_optimal", Json::Bool(s.proven_optimal)),
-        (
-            "per_thread_nodes",
-            Json::Arr(s.per_thread_nodes.iter().map(|&n| Json::int(n)).collect()),
-        ),
-        ("objective", Json::Num(st.objective)),
-        ("moves", Json::int(st.moves)),
-        ("spills", Json::int(st.spills)),
-    ])
 }
 
 /// Render a text table with aligned columns.

@@ -33,12 +33,6 @@ use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 /// Rule-stream seed shared by the reload and rollout scenarios.
 pub const RELOAD_SEED: u64 = 0x0E10_AD00;
 
-/// The compile configuration of both measurements: one solver thread so
-/// allocations are bit-deterministic.
-pub fn reload_config() -> CompileConfig {
-    CompileConfig::builder().solver_threads(1).build()
-}
-
 /// One measured image swap of the hot-reload run.
 #[derive(Debug)]
 pub struct HotSwap {
@@ -106,7 +100,7 @@ pub struct HotReloadRun {
 /// never fires — the generated stream is known-good, so either is
 /// harness breakage rather than a measurement.
 pub fn run_hot_reload(packets: usize, payload_bytes: u32, swaps_at: &[u64]) -> HotReloadRun {
-    let session = Compiler::new(reload_config());
+    let session = Compiler::new(CompileConfig::default());
     let compile_variant = |variant: u64| -> (CompileOutput, Duration) {
         let rules = classifier_rules(RELOAD_SEED, variant, CLASSIFIER_RULES);
         let start = Instant::now();
@@ -215,10 +209,7 @@ pub fn run_restart(variants: usize, persist_dir: &Path) -> RestartRun {
     let server_over = |dir: &Path| {
         Server::new(ServerConfig {
             workers: 1,
-            compile: CompileConfig::builder()
-                .solver_threads(1)
-                .persist_dir(dir)
-                .build(),
+            compile: CompileConfig::builder().persist_dir(dir).build(),
             ..ServerConfig::default()
         })
     };

@@ -21,19 +21,16 @@
 //!   gated as an absolute floor. A microburst variant reports the same
 //!   comparison under bursty arrivals, where trace skew staggers the
 //!   windows.
-//! * **Determinism self-check** — key scenarios re-run at a different
-//!   host thread count must produce bit-identical rollout reports;
-//!   the mismatch count is gated against zero regardless of baseline.
 
 use crate::json::Json;
-use crate::reload::{reload_config, RELOAD_SEED};
+use crate::reload::RELOAD_SEED;
 use crate::{microburst_spec, traffic_spec, traffic_topology, write_nat_packet};
 use ixp_sim::{
     big_bang_rollout, shard_of, staged_rollout, FlowPacket, HealthSlo, RollbackReason,
     RolloutConfig, RolloutFaults, RolloutOutcome, RolloutReport, SimMode, StageOutcome,
     StageReport,
 };
-use nova::{CompileOutput, Compiler};
+use nova::{CompileConfig, CompileOutput, Compiler};
 use std::time::{Duration, Instant};
 use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 
@@ -63,7 +60,7 @@ pub fn rollout_config(chips: usize, window: u64) -> RolloutConfig {
 ///
 /// Panics on compile errors: the generated classifiers are known-good.
 pub fn classifier_images() -> (CompileOutput, CompileOutput, Duration, Duration) {
-    let session = Compiler::new(reload_config());
+    let session = Compiler::new(CompileConfig::default());
     let compile = |variant: u64| -> (CompileOutput, Duration) {
         let rules = classifier_rules(RELOAD_SEED, variant, CLASSIFIER_RULES);
         let start = Instant::now();
@@ -123,9 +120,6 @@ pub struct RolloutBench {
     pub new_compile_wall: Duration,
     /// All scenario runs, in report order.
     pub scenarios: Vec<Scenario>,
-    /// Scenario reports that changed when re-run at a different host
-    /// thread count (must be zero — rollouts are bit-deterministic).
-    pub determinism_mismatches: usize,
     /// Host wall time of all simulation runs.
     pub sim_wall: Duration,
 }
@@ -238,28 +232,6 @@ pub fn run_rollout_bench(chips: usize, packets: usize, window: u64) -> RolloutBe
             .expect("rollout simulation runs"),
     });
 
-    // Determinism self-check: the host thread count must not leak into
-    // any rollout report.
-    let mut determinism_mismatches = 0;
-    for (id, cfg, trace) in [
-        ("healthy", &base_cfg, &paced),
-        ("wedge0", &wedge_cfg, &paced),
-    ] {
-        let mut threaded = cfg.clone();
-        threaded.topology.chip.host_threads = 2;
-        let rerun = staged_rollout(&old.prog, &new.prog, &threaded, trace, write_nat_packet)
-            .expect("rollout simulation runs");
-        let original = scenarios
-            .iter()
-            .find(|s| s.id == id)
-            .expect("scenario ran")
-            .report
-            .clone();
-        if rerun != original {
-            eprintln!("DETERMINISM MISMATCH: scenario {id} differs at 2 host threads");
-            determinism_mismatches += 1;
-        }
-    }
     let sim_wall = start.elapsed();
 
     RolloutBench {
@@ -269,7 +241,6 @@ pub fn run_rollout_bench(chips: usize, packets: usize, window: u64) -> RolloutBe
         old_compile_wall,
         new_compile_wall,
         scenarios,
-        determinism_mismatches,
         sim_wall,
     }
 }
@@ -405,10 +376,6 @@ pub fn rollout_json(b: &RolloutBench) -> Json {
                 ("bang_min_healthy", Json::int(bang)),
                 ("staging_gain", Json::Num(staged as f64 - bang as f64)),
             ]),
-        ),
-        (
-            "determinism_mismatches",
-            Json::int(b.determinism_mismatches),
         ),
         (
             "old_compile_ms",

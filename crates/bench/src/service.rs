@@ -32,12 +32,6 @@ use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 /// sets — and therefore their cache counters — are reproducible.
 pub const SERVICE_SEED: u64 = 0x00C0_FFEE;
 
-/// The compile configuration both the warm server and the cold baseline
-/// use: one solver thread so allocations are bit-deterministic.
-pub fn service_config() -> CompileConfig {
-    CompileConfig::builder().solver_threads(1).build()
-}
-
 /// The seeded rule-update stream: `total` requests over `distinct`
 /// variants, request `i` carrying variant `i % distinct`.
 pub fn service_stream(total: usize, distinct: usize) -> Vec<CompileRequest> {
@@ -109,7 +103,7 @@ pub fn run_service(total: usize, distinct: usize, cold_samples: usize) -> Servic
         .iter()
         .take(cold_samples)
         .map(|r| {
-            Compiler::new(service_config())
+            Compiler::new(CompileConfig::default())
                 .compile_output(&r.source)
                 .unwrap_or_else(|e| panic!("cold compile of request {}: {e}", r.id))
         })
@@ -119,7 +113,7 @@ pub fn run_service(total: usize, distinct: usize, cold_samples: usize) -> Servic
     // Warm: the whole stream as one batch through the shared session.
     let server = Server::new(ServerConfig {
         workers: 1,
-        compile: service_config(),
+        compile: CompileConfig::default(),
         ..ServerConfig::default()
     });
     let warm_start = Instant::now();
@@ -319,7 +313,7 @@ mod tests {
     fn response_json_renders_success_and_failure() {
         let server = Server::new(ServerConfig {
             workers: 1,
-            compile: service_config(),
+            compile: CompileConfig::default(),
             ..ServerConfig::default()
         });
         let ok = server.submit(CompileRequest::new(

@@ -29,7 +29,7 @@
 //! presolve.
 //!
 //! Every pass iterates rows and terms in index order, so the reduction is
-//! deterministic regardless of thread count or hash-map iteration order.
+//! deterministic regardless of hash-map iteration order.
 
 use crate::expr::Var;
 use crate::problem::{Cmp, Problem, VarKind};

@@ -125,15 +125,16 @@ proptest! {
     /// Branch-and-bound on small MILPs: both kernels must land on the
     /// same objective AND the same incumbent vector (the exact-gap
     /// lexicographic incumbent rule pins ties down, so with fathoming
-    /// tolerances disabled the searches are bit-for-bit comparable) at
-    /// every thread count.
+    /// tolerances disabled the searches are bit-for-bit comparable).
     #[test]
-    fn milp_dense_equals_sparse(rp in lp_strategy(), threads in 1usize..=4) {
+    fn milp_dense_equals_sparse(rp in lp_strategy()) {
         let p = build_milp(&rp);
-        let mut cfg = BranchConfig::default().with_threads(threads);
-        cfg.relative_gap = 0.0;
-        cfg.fathom_abs = 0.0;
-        cfg.fathom_rel = 0.0;
+        let cfg = BranchConfig {
+            relative_gap: 0.0,
+            fathom_abs: 0.0,
+            fathom_rel: 0.0,
+            ..BranchConfig::default()
+        };
         let sparse = solve_milp(&p, &cfg.clone().with_kernel(Some(KernelKind::Sparse)));
         let dense = solve_milp(&p, &cfg.with_kernel(Some(KernelKind::Dense)));
         match (&sparse, &dense) {

@@ -87,29 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_matches_serial(rp in problem_strategy(), threads in 2usize..=4) {
-        // With an exact gap the optimum objective is unique, so the
-        // parallel search must reproduce the serial one bit-for-bit in
-        // objective (values may differ only among exact ties, which the
-        // lexicographic incumbent rule also pins down).
-        let p = build(&rp);
-        let mut cfg = BranchConfig::default().with_threads(1);
-        cfg.relative_gap = 0.0;
-        let serial = solve_milp(&p, &cfg);
-        let par = solve_milp(&p, &cfg.clone().with_threads(threads));
-        match (&serial, &par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert!((a.objective - b.objective).abs() < 1e-6,
-                    "serial {} vs {} threads {}", a.objective, threads, b.objective);
-                prop_assert_eq!(b.stats.threads, threads);
-                prop_assert!(b.stats.proven_optimal);
-            }
-            (Err(ilp::MilpError::Infeasible), Err(ilp::MilpError::Infeasible)) => {}
-            (a, b) => prop_assert!(false, "serial {a:?} vs parallel {b:?}"),
-        }
-    }
-
-    #[test]
     fn warm_equals_cold_under_random_fixings(
         rp in problem_strategy(),
         fixings in proptest::collection::vec((0usize..7, any::<bool>()), 0..20),

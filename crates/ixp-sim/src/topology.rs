@@ -198,8 +198,9 @@ where
     let chips = cfg.chips.max(1);
     let mut mems = shard_memories(cfg, trace, &write_packet);
 
-    // One host thread per chip. Chips share nothing, so this is the
-    // embarrassingly parallel layer above the per-chip engine pool.
+    // One host thread per chip: chips share nothing, and a whole chip run
+    // is the grain at which a host thread pays for itself (one chip is
+    // serial inside, see `chip.rs`).
     let results: Vec<Result<SimResult, SimError>> = std::thread::scope(|s| {
         let handles: Vec<_> = mems
             .iter_mut()

@@ -1,8 +1,7 @@
 //! Differential tests of the two scheduler modes: the event-driven fast
 //! path must be bit-identical to the cycle-slice oracle — same cycles,
 //! same telemetry, same channel stats, same memory image, same transmit
-//! log — on every workload shape, at every host thread count, for any
-//! traffic seed. The fast path is only allowed to change how much *host*
+//! log — on every workload shape, for any traffic seed. The fast path is only allowed to change how much *host*
 //! time a run costs.
 
 use ixp_machine::{Addr, Bank, Block, BlockId, Instr, MemSpace, PhysReg, Program, Terminator};
@@ -139,10 +138,9 @@ fn run(
     prog: &Program<PhysReg>,
     mem: SimMemory,
     mode: SimMode,
-    host_threads: usize,
     max_cycles: u64,
 ) -> (impl PartialEq + std::fmt::Debug, StopReason) {
-    run_on(3, prog, mem, mode, host_threads, max_cycles)
+    run_on(3, prog, mem, mode, max_cycles)
 }
 
 fn run_on(
@@ -150,13 +148,11 @@ fn run_on(
     prog: &Program<PhysReg>,
     mut mem: SimMemory,
     mode: SimMode,
-    host_threads: usize,
     max_cycles: u64,
 ) -> (impl PartialEq + std::fmt::Debug, StopReason) {
     let cfg = ChipConfig {
         engines,
         contexts: 2,
-        host_threads,
         max_cycles,
         mode,
         ..ChipConfig::default()
@@ -167,27 +163,14 @@ fn run_on(
 }
 
 #[test]
-fn modes_agree_on_every_workload_and_host_thread_count() {
+fn modes_agree_on_every_workload() {
     let progs = [rewriting_forwarder(), counting_forwarder()];
     for prog in &progs {
-        for host_threads in [1usize, 2, 4] {
-            let (slow, stop) = run(
-                prog,
-                traffic_mem(200, 0xBEEF, 8),
-                SimMode::CycleSlice,
-                host_threads,
-                u64::MAX,
-            );
-            let (fast, _) = run(
-                prog,
-                traffic_mem(200, 0xBEEF, 8),
-                SimMode::FastPath,
-                host_threads,
-                u64::MAX,
-            );
-            assert_eq!(stop, StopReason::AllHalted);
-            assert_eq!(slow, fast, "{host_threads} host threads");
-        }
+        let mem = || traffic_mem(200, 0xBEEF, 8);
+        let (slow, stop) = run(prog, mem(), SimMode::CycleSlice, u64::MAX);
+        let (fast, _) = run(prog, mem(), SimMode::FastPath, u64::MAX);
+        assert_eq!(stop, StopReason::AllHalted);
+        assert_eq!(slow, fast);
     }
 }
 
@@ -197,14 +180,8 @@ fn modes_agree_on_partial_cycle_limited_runs() {
     // multiple), in the middle of a skip window for the fast path.
     let prog = rewriting_forwarder();
     for budget in [1_001u64, 4_999, 20_000] {
-        let (slow, stop) = run(
-            &prog,
-            traffic_mem(300, 7, 4),
-            SimMode::CycleSlice,
-            1,
-            budget,
-        );
-        let (fast, _) = run(&prog, traffic_mem(300, 7, 4), SimMode::FastPath, 1, budget);
+        let (slow, stop) = run(&prog, traffic_mem(300, 7, 4), SimMode::CycleSlice, budget);
+        let (fast, _) = run(&prog, traffic_mem(300, 7, 4), SimMode::FastPath, budget);
         assert_eq!(stop, StopReason::CycleLimit, "budget {budget} must cut off");
         assert_eq!(slow, fast, "budget {budget}");
     }
@@ -221,23 +198,21 @@ fn modes_agree_on_the_legacy_preloaded_queue() {
         }
         m
     };
-    let (slow, _) = run(&prog, mem(), SimMode::CycleSlice, 2, u64::MAX);
-    let (fast, _) = run(&prog, mem(), SimMode::FastPath, 2, u64::MAX);
+    let (slow, _) = run(&prog, mem(), SimMode::CycleSlice, u64::MAX);
+    let (fast, _) = run(&prog, mem(), SimMode::FastPath, u64::MAX);
     assert_eq!(slow, fast);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any traffic seed, any buffer bound, any host thread count, any
-    /// engine count down to the single engine: the fast path and the
+    /// Any traffic seed, any buffer bound, any engine count down to the single engine: the fast path and the
     /// oracle tell exactly the same story, drops and all.
     #[test]
     fn modes_agree_for_random_traffic(
         seed in any::<u64>(),
         packets in 50usize..250,
         capacity in 0usize..12,
-        host_threads in 1usize..=4,
         engines in 1usize..=3,
     ) {
         let prog = rewriting_forwarder();
@@ -246,7 +221,6 @@ proptest! {
             &prog,
             traffic_mem(packets, seed, capacity),
             SimMode::CycleSlice,
-            host_threads,
             u64::MAX,
         );
         let (fast, _) = run_on(
@@ -254,7 +228,6 @@ proptest! {
             &prog,
             traffic_mem(packets, seed, capacity),
             SimMode::FastPath,
-            host_threads,
             u64::MAX,
         );
         prop_assert_eq!(slow, fast);

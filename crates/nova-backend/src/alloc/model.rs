@@ -354,20 +354,7 @@ pub fn build_model(
     // ---- block point ranges & action points ----
     let block_range = block_ranges(prog);
     let block_of = |p: PointId| facts.points[p.0 as usize].block;
-    let mut actions = action_points(prog, facts, &block_range);
-    // Clamp actions to points where the temp actually exists, and drop
-    // move opportunities at no-move points (keep them as anchors though:
-    // no-move points are never instruction-adjacent nor entries, so none
-    // appear here by construction).
-    for (v, set) in actions.iter_mut() {
-        set.retain(|p| {
-            facts.exists_at(*p).contains(v) || {
-                // results exist at their post point by construction
-                true
-            }
-        });
-        let _ = v;
-    }
+    let actions = action_points(prog, facts, &block_range);
 
     // ---- Move variables at action points ----
     let mut moves: MoveVars = HashMap::new();
@@ -600,7 +587,11 @@ pub fn build_model(
                 // they differ, the instruction survives and costs a move.
                 // pm >= After[pre,src,b] - Before[post,dst,b]  for each b.
                 let pm = model.continuous(fam_cp, &[Key::Int(pre.0), Key::Int(dst.0)], 0.0, 1.0);
-                for &bk in &candidates.of(*src) {
+                // Sorted: `of` is a hash set, and row order reaches the LP
+                // (pivot order, hence which of two equal-cost images wins).
+                let mut src_banks: Vec<IlpBank> = candidates.of(*src).into_iter().collect();
+                src_banks.sort();
+                for &bk in &src_banks {
                     buf.clear();
                     push_after(&mut buf, &moves, *pre, *src, bk, 1.0);
                     push_before(&mut buf, &moves, *post, *dst, bk, -1.0);

@@ -491,7 +491,7 @@ mod tests {
     fn config(workers: usize) -> ServerConfig {
         ServerConfig {
             workers,
-            compile: CompileConfig::builder().solver_threads(1).build(),
+            compile: CompileConfig::default(),
             ..ServerConfig::default()
         }
     }

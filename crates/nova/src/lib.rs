@@ -7,20 +7,15 @@
 //! selection → ILP bank/register allocation → A/B coloring → validation.
 //!
 //! Configuration goes through one builder that carries exactly what the
-//! compile pipeline reads (a simulation takes its own [`ChipConfig`]),
-//! and the one environment override (`NOVA_ILP_THREADS`) is resolved
-//! exactly once, at [`CompileConfigBuilder::build`] time, never later
-//! inside the solver.
+//! compile pipeline reads (a simulation takes its own [`ChipConfig`]);
+//! no product crate reads the environment.
 //!
 //! The primary entry point is a [`Compiler`] session, which caches
 //! finished images and solved allocations by content hash, so a repeat
 //! compile runs nothing and a constant edit skips the MILP solve:
 //!
 //! ```
-//! let cfg = nova::CompileConfig::builder()
-//!     .solver_threads(1)
-//!     .solver_gap(0.0)
-//!     .build();
+//! let cfg = nova::CompileConfig::builder().solver_gap(0.0).build();
 //! let compiler = nova::Compiler::new(cfg);
 //! let report = compiler
 //!     .compile("fun main() { let (a, b) = sram(0); sram(8) <- (a + b, a); 0 }")
@@ -58,9 +53,6 @@ pub use nova_frontend::Span;
 pub use nova_obs::{
     Event, EventKind, JsonLinesRecorder, MemoryRecorder, Obs, Recorder, Summary, TeeRecorder,
 };
-
-/// Hard ceiling on ILP worker threads (mirrors the solver's own cap).
-const MAX_SOLVER_THREADS: usize = 64;
 
 /// Retention budget for each of a session's three maps (whole-image
 /// cache, allocation cache, warm-start hint pool). The default
@@ -131,9 +123,7 @@ impl Default for CompileConfig {
 }
 
 impl CompileConfig {
-    /// Start building a configuration. The environment override
-    /// (`NOVA_ILP_THREADS`) seeds the thread-count default and is
-    /// resolved once, when [`CompileConfigBuilder::build`] runs.
+    /// Start building a configuration.
     pub fn builder() -> CompileConfigBuilder {
         CompileConfigBuilder::new()
     }
@@ -141,18 +131,14 @@ impl CompileConfig {
 
 /// Builder for [`CompileConfig`].
 ///
-/// The one environment read happens in [`build`](Self::build): the
-/// resulting `CompileConfig` carries fully resolved values, so a solve
-/// never consults the environment mid-run (parallel differential tests
-/// cannot race on it). Marked non-exhaustive: construct via
-/// [`CompileConfig::builder`] so added knobs stay source-compatible.
+/// Marked non-exhaustive: construct via [`CompileConfig::builder`] so
+/// added knobs stay source-compatible.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct CompileConfigBuilder {
     opt: OptConfig,
     alloc: AllocConfig,
     skip_opt: bool,
-    threads: Option<usize>,
     deadline: Option<Duration>,
     gap: Option<f64>,
     observer: Obs,
@@ -172,7 +158,6 @@ impl CompileConfigBuilder {
             opt: OptConfig::default(),
             alloc: AllocConfig::default(),
             skip_opt: false,
-            threads: None,
             deadline: None,
             gap: None,
             observer: Obs::noop(),
@@ -197,12 +182,11 @@ impl CompileConfigBuilder {
         self
     }
 
-    /// ILP worker threads. `0` (and not calling this at all) selects
-    /// automatically: `NOVA_ILP_THREADS` if set, else the machine's
-    /// available parallelism.
+    /// Inert: the tree search is serial. Kept only because the frozen
+    /// `benchmark/src/pins.rs` calls it; goes with the next benchmark PR.
+    #[doc(hidden)]
     #[must_use]
-    pub fn solver_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    pub fn solver_threads(self, _: usize) -> Self {
         self
     }
 
@@ -268,34 +252,16 @@ impl CompileConfigBuilder {
     }
 
     /// Replace the allocator settings wholesale. Solver knobs set through
-    /// this builder ([`solver_threads`](Self::solver_threads), deadline,
-    /// gap) still apply on top at build time.
+    /// this builder (deadline, gap) still apply on top at build time.
     #[must_use]
     pub fn alloc(mut self, alloc: AllocConfig) -> Self {
         self.alloc = alloc;
         self
     }
 
-    /// `NOVA_ILP_THREADS` if set and ≥ 1, else 0 (the solver's own
-    /// "available parallelism" default).
-    fn auto_threads() -> usize {
-        match std::env::var("NOVA_ILP_THREADS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n.min(MAX_SOLVER_THREADS),
-                _ => 0,
-            },
-            Err(_) => 0,
-        }
-    }
-
-    /// Resolve every automatic knob — including the environment
-    /// override — and produce the final configuration.
+    /// Produce the final configuration.
     pub fn build(self) -> CompileConfig {
         let mut alloc = self.alloc;
-        alloc.solver.threads = match self.threads {
-            Some(n) if n >= 1 => n.min(MAX_SOLVER_THREADS),
-            _ => Self::auto_threads(),
-        };
         alloc.solver.time_limit = self.deadline;
         if let Some(gap) = self.gap {
             alloc.solver.relative_gap = gap;

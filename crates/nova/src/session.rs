@@ -551,10 +551,6 @@ const KEY_VERSION: u64 = 1;
 /// * *alloc* — structure plus the cost, search and fallback knobs: the
 ///   allocation cache key, in memory and on disk;
 /// * *pipeline* — alloc plus the optimizer knobs: the whole-image key.
-///
-/// `solver.threads` is in none of them: the search is bit-identical at
-/// any thread count (`tests/determinism.rs`), so a server restarted with
-/// a different `NOVA_ILP_THREADS` keeps its disk cache.
 fn config_fingerprints(config: &CompileConfig) -> (u64, u64, u64) {
     let CompileConfig {
         opt: OptConfig {
@@ -581,7 +577,6 @@ fn config_fingerprints(config: &CompileConfig) -> (u64, u64, u64) {
                         int_tol,
                         fathom_abs,
                         fathom_rel,
-                        threads: _,
                         kernel,
                         presolve,
                         cuts,
@@ -777,7 +772,7 @@ mod tests {
     const BASE: &str = "fun main() { let (a, b) = sram(0); sram(8) <- (a + b, a); 0 }";
 
     fn cfg() -> CompileConfig {
-        CompileConfig::builder().solver_threads(1).build()
+        CompileConfig::default()
     }
 
     #[test]
@@ -855,9 +850,11 @@ mod tests {
     #[test]
     fn config_fingerprints_track_artifact_relevant_knobs_only() {
         let fps = |b: crate::CompileConfigBuilder| config_fingerprints(&b.build());
-        let base = fps(CompileConfig::builder().solver_threads(1));
-        // Thread count never changes an artifact: no key moves.
-        assert_eq!(fps(CompileConfig::builder().solver_threads(4)), base);
+        let base = fps(CompileConfig::builder());
+        // Retention and observability never change an artifact: no key
+        // moves.
+        let budgeted = CompileConfig::builder().cache_budget(crate::CacheBudget::entries(1));
+        assert_eq!(fps(budgeted), base);
         // A search knob moves the alloc and image keys; the model's
         // variable space (and so the hint-pool key) is unchanged.
         let (structure, alloc, pipeline) = fps(CompileConfig::builder().solver_gap(0.0));

@@ -4,8 +4,9 @@
 #   scripts/tier1.sh          build + full test suite, plus a compile
 #                             check of the frozen benchmark/ package
 #                             against the product API
-#   scripts/tier1.sh --lint   also run rustfmt --check and clippy with
-#                             warnings denied (mirrors CI's lint job)
+#   scripts/tier1.sh --lint   also run rustfmt --check, clippy with
+#                             warnings denied, and the no-environment-reads
+#                             guard (mirrors CI's lint job)
 #   scripts/tier1.sh --smoke  also run every `bench` writer scenario at
 #                             its small fixed scale in release mode:
 #                             exits non-zero on a violated scenario
@@ -61,6 +62,8 @@ if [[ "$run_lint" == 1 ]]; then
     cargo fmt --check
     echo "== cargo clippy (warnings denied) =="
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "== no env::var under a product crate's src/ =="
+    if grep -rn "env::var" crates/{ilp,ixp-machine,ixp-sim,nova,nova-backend,nova-cps,nova-frontend,nova-obs,nova-server,workloads}/src; then exit 1; fi
 fi
 
 if [[ "$run_smoke" == 1 ]]; then

@@ -15,7 +15,7 @@ fn classifier(variant: u64, rules: usize) -> String {
 }
 
 fn cfg(budget: Option<CacheBudget>) -> CompileConfig {
-    let b = CompileConfig::builder().solver_threads(1);
+    let b = CompileConfig::builder();
     match budget {
         Some(budget) => b.cache_budget(budget).build(),
         None => b.build(),

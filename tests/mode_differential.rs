@@ -1,8 +1,7 @@
 //! Scheduler-mode differential testing on real compiled workloads: for
 //! every benchmark, the event-driven fast path must reproduce the
 //! cycle-slice oracle bit for bit — result, telemetry, and the full
-//! memory image — at every host thread count. Paired with the synthetic
-//! and property-based coverage in `crates/ixp-sim/tests/modes.rs`, this
+//! memory image. Paired with the synthetic and property-based coverage in `crates/ixp-sim/tests/modes.rs`, this
 //! is what licenses running every benchmark and the traffic harness in
 //! fast-path mode by default.
 
@@ -11,46 +10,41 @@ use ixp_sim::{simulate_chip, ChipConfig, SimMode};
 use nova::CompileConfig;
 
 const PACKETS: usize = 48;
-const HOST_THREADS: [usize; 3] = [1, 2, 4];
 
 fn check(b: Benchmark, payload: u32) {
-    let cfg = CompileConfig::builder().solver_threads(1).build();
-    let out = compile(b, &cfg);
-    for host_threads in HOST_THREADS {
-        let mut fingerprints = Vec::new();
-        for mode in [SimMode::CycleSlice, SimMode::FastPath] {
-            let mut mem = setup_memory(b, PACKETS, payload);
-            let chip = ChipConfig {
-                engines: 6,
-                contexts: 4,
-                host_threads,
-                mode,
-                ..ChipConfig::default()
-            };
-            let res = simulate_chip(&out.prog, &mut mem, &chip)
-                .unwrap_or_else(|e| panic!("{}/{mode:?}: {e}", b.name()));
-            assert_eq!(res.packets, PACKETS as u64, "{}: all packets", b.name());
-            fingerprints.push((
-                (
-                    res.cycles,
-                    res.instructions,
-                    res.packets,
-                    res.bytes,
-                    res.mem_refs,
-                    res.stop,
-                    res.channels,
-                    res.engines,
-                ),
-                (mem.sram, mem.sdram, mem.scratch, mem.csr, mem.tx_log),
-            ));
-        }
-        assert_eq!(
-            fingerprints[0],
-            fingerprints[1],
-            "{}: fast path diverged from the cycle-slice oracle at {host_threads} host threads",
-            b.name()
-        );
+    let out = compile(b, &CompileConfig::default());
+    let mut fingerprints = Vec::new();
+    for mode in [SimMode::CycleSlice, SimMode::FastPath] {
+        let mut mem = setup_memory(b, PACKETS, payload);
+        let chip = ChipConfig {
+            engines: 6,
+            contexts: 4,
+            mode,
+            ..ChipConfig::default()
+        };
+        let res = simulate_chip(&out.prog, &mut mem, &chip)
+            .unwrap_or_else(|e| panic!("{}/{mode:?}: {e}", b.name()));
+        assert_eq!(res.packets, PACKETS as u64, "{}: all packets", b.name());
+        fingerprints.push((
+            (
+                res.cycles,
+                res.instructions,
+                res.packets,
+                res.bytes,
+                res.mem_refs,
+                res.stop,
+                res.channels,
+                res.engines,
+            ),
+            (mem.sram, mem.sdram, mem.scratch, mem.csr, mem.tx_log),
+        ));
     }
+    assert_eq!(
+        fingerprints[0],
+        fingerprints[1],
+        "{}: fast path diverged from the cycle-slice oracle",
+        b.name()
+    );
 }
 
 #[test]

@@ -32,14 +32,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One solver thread so "bit-identical" is a meaningful oracle.
 fn cfg(persist: Option<&Path>) -> CompileConfig {
-    cfg_threads(persist, 1)
-}
-
-/// [`cfg`] at an explicit solver thread count.
-fn cfg_threads(persist: Option<&Path>, threads: usize) -> CompileConfig {
-    let b = CompileConfig::builder().solver_threads(threads);
+    let b = CompileConfig::builder();
     match persist {
         Some(dir) => b.persist_dir(dir).build(),
         None => b.build(),
@@ -87,35 +81,6 @@ fn restart_replays_a_structural_stream_from_disk() {
     assert_eq!(s.disk_hits, 3, "every solve replaced by a disk load");
     assert_eq!(s.alloc_misses, 0, "no MILP ran on the warm side");
     assert_eq!(s.disk_rejects, 0);
-    for (w, c) in warm.iter().zip(&cold) {
-        assert!(w.artifact_eq(c), "disk-loaded artifact diverged");
-    }
-}
-
-#[test]
-fn restart_with_a_different_thread_count_keeps_the_disk_cache() {
-    // The solver is bit-identical at any thread count, so the count is
-    // not part of the cache key: an operator who restarts the server
-    // with another NOVA_ILP_THREADS still warms from disk.
-    let dir = scratch_dir("threads");
-    let sources: Vec<String> = (2..=4).map(|n| classifier(0, n)).collect();
-
-    let first = Compiler::new(cfg_threads(Some(&dir), 1));
-    let cold: Vec<_> = sources
-        .iter()
-        .map(|s| first.compile_output(s).expect("compiles"))
-        .collect();
-    drop(first);
-
-    let second = Compiler::new(cfg_threads(Some(&dir), 2));
-    let warm: Vec<_> = sources
-        .iter()
-        .map(|s| second.compile_output(s).expect("compiles"))
-        .collect();
-    let s = second.cache_stats();
-    assert_eq!(s.disk_hits, sources.len() as u64, "{s:?}");
-    assert_eq!(s.disk_misses, 0);
-    assert_eq!(s.alloc_misses, 0, "no MILP ran on the warm side");
     for (w, c) in warm.iter().zip(&cold) {
         assert!(w.artifact_eq(c), "disk-loaded artifact diverged");
     }

@@ -17,12 +17,6 @@ use workloads::{classifier_rules, classifier_source, CLASSIFIER_RULES};
 /// Seed for the generated rule sets (distinct from the bench stream's).
 const STREAM_SEED: u64 = 0x0051_7E55;
 
-/// One solver thread so allocation is bit-deterministic and "identical
-/// artifacts" is a meaningful oracle.
-fn cfg() -> CompileConfig {
-    CompileConfig::builder().solver_threads(1).build()
-}
-
 /// A recipe for the next source revision in an edit stream. Each kind
 /// lands in a different cache regime once the session has seen its
 /// variant before: comments leave the token stream untouched, constant
@@ -80,13 +74,13 @@ proptest! {
     fn warm_session_matches_cold_on_any_edit_stream(
         edits in proptest::collection::vec(edit_strategy(), 1..8),
     ) {
-        let session = Compiler::new(cfg());
+        let session = Compiler::new(CompileConfig::default());
         for edit in &edits {
             let src = source_of(edit);
             let warm = session
                 .compile_output(&src)
                 .expect("generated classifier sources compile");
-            let cold = Compiler::new(cfg())
+            let cold = Compiler::new(CompileConfig::default())
                 .compile_output(&src)
                 .expect("generated classifier sources compile");
             prop_assert!(
