@@ -153,7 +153,7 @@ const TABLE: &[Row] = &[
     ("traffic", "sweep[id]/shards[shard]", "delivered", AbsFloor(1.0)),
     // The seeded one-worker stream fixes which request hits which cache.
     ("service", "counters", "alloc_hits,alloc_misses,output_hits,output_misses,refinish_fallbacks", Exact),
-    ("service", "counters", "hint_offers,evict_count,evict_bytes,disk_hits,disk_misses,disk_rejects", Exact),
+    ("service", "counters", "evict_count,evict_bytes,disk_hits,disk_misses,disk_rejects", Exact),
     ("service", "rates", "warm_compiles_per_sec,output_hit_rate,alloc_hit_rate", Floor { drop: SERVICE_RATE_DROP }),
     ("service", "rates", "cold_compiles_per_sec,speedup", Info),
     ("service", "rates", "speedup", AbsFloor(SERVICE_SPEEDUP_FLOOR)),
@@ -713,7 +713,7 @@ mod tests {
                 "stream":{{"total":1000,"distinct":250,"cold_samples":25,"workers":1}},
                 "counters":{{"alloc_hits":{alloc_hits},"alloc_misses":1,
                   "output_hits":750,"output_misses":250,
-                  "refinish_fallbacks":0,"hint_offers":0,
+                  "refinish_fallbacks":0,
                   "evict_count":0,"evict_bytes":0,
                   "disk_hits":0,"disk_misses":0,"disk_rejects":0}},
                 "rates":{{"warm_compiles_per_sec":{warm},

@@ -228,7 +228,6 @@ pub fn cache_stats_json(s: &CacheStats) -> Json {
             "refinish_fallbacks",
             Json::int(s.refinish_fallbacks as usize),
         ),
-        ("hint_offers", Json::int(s.hint_offers as usize)),
         ("evict_count", Json::int(s.evict_count as usize)),
         ("evict_bytes", Json::int(s.evict_bytes as usize)),
         ("disk_hits", Json::int(s.disk_hits as usize)),

@@ -25,8 +25,7 @@
 //! in one fixed order, so two solves of the same problem are identical in
 //! every counter. Incumbents are accepted only if strictly better, or
 //! equal within `1e-9` and lexicographically smaller, so the reported
-//! point does not depend on which of two tied points was found first
-//! (a warm-start hint changes discovery order, not the tie winner).
+//! point does not depend on which of two tied points was found first.
 //!
 //! Termination uses the paper's gap: CPLEX was run "within 0.01 % of
 //! optimal" (§11), so the default relative gap is `1e-4`.
@@ -213,10 +212,6 @@ pub struct SolveStats {
     pub eta_pivots: usize,
     /// Peak LU nonzero count over all factorizations (fill-in measure).
     pub lu_fill_nnz: usize,
-    /// A caller-supplied warm-start point validated as feasible and was
-    /// adopted as the starting incumbent of any tree search that ran (see
-    /// [`solve_milp_with`]).
-    pub hint_accepted: bool,
 }
 
 impl SolveStats {
@@ -613,7 +608,7 @@ fn frac_var(int_vars: &[usize], x: &[f64], int_tol: f64, obj_coeff: &[f64]) -> O
     best.map(|(j, _)| j)
 }
 
-/// [`solve_milp`] with structured telemetry and an optional warm start.
+/// [`solve_milp`] with structured telemetry.
 ///
 /// The presolve reduction runs under a `phase.ilp.presolve` span and the
 /// root relaxation plus tree search under `phase.ilp.solve`, so
@@ -623,37 +618,15 @@ fn frac_var(int_vars: &[usize], x: &[f64], int_tol: f64, obj_coeff: &[f64]) -> O
 /// `ilp.root` / `ilp.solve` spans. All emission happens outside the pivot
 /// and node hot loops, so a no-op observer costs one branch per solve.
 ///
-/// A `hint` (a previously known integer point) is validated against the
-/// *original* problem (bounds, integrality, every constraint row,
-/// tolerance `config.int_tol`) and, if feasible, offered as the starting
-/// incumbent before the tree search — the same injection path as the
-/// root rounding heuristic. A feasible hint bounds the search from above
-/// immediately, so node subtrees worse than the previous solution are
-/// fathomed without being explored; an infeasible or wrong-length hint
-/// is ignored. The solve result is never *worse* than the hint's
-/// objective, and with budget exhaustion the hint itself survives as the
-/// returned incumbent.
-///
-/// Intended for incremental recompilation: when only objective
-/// coefficients or right-hand constants of an unchanged model *structure*
-/// drift between solves, the previous solution stays feasible and usually
-/// near-optimal. `stats.hint_accepted` records whether the hint was used.
-///
-/// Note that with a nonzero optimality gap (or the fathoming tolerances),
-/// seeding an incumbent may legitimately steer the search to a *different*
-/// within-gap solution than a cold solve would find; at `relative_gap = 0`
-/// with zero fathoming tolerances the objective is identical either way.
-///
 /// # Errors
 ///
 /// See [`MilpError`].
 pub fn solve_milp_with(
     problem: &Problem,
     config: &BranchConfig,
-    hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
 ) -> Result<MilpSolution, MilpError> {
-    let res = solve_milp_inner(problem, config, hint, obs);
+    let res = solve_milp_inner(problem, config, obs);
     emit_stats(obs, &res);
     res
 }
@@ -680,7 +653,6 @@ fn emit_stats(obs: &nova_obs::Obs, res: &Result<MilpSolution, MilpError>) {
     obs.counter("ilp.cuts_added", s.cuts_added as u64);
     obs.counter("ilp.warm_hits", s.warm_hits as u64);
     obs.counter("ilp.warm_misses", s.warm_misses as u64);
-    obs.counter("ilp.hint_accepted", u64::from(s.hint_accepted));
     obs.sample("ilp.pivots_per_sec", s.pivots_per_sec());
 }
 
@@ -816,30 +788,20 @@ pub fn solve_rounded_with(
 ///
 /// See [`MilpError`].
 pub fn solve_milp(problem: &Problem, config: &BranchConfig) -> Result<MilpSolution, MilpError> {
-    solve_milp_inner(problem, config, None, &nova_obs::Obs::noop())
+    solve_milp_inner(problem, config, &nova_obs::Obs::noop())
 }
 
 fn solve_milp_inner(
     problem: &Problem,
     config: &BranchConfig,
-    hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
 ) -> Result<MilpSolution, MilpError> {
     let start = Instant::now();
     let deadline = config.time_limit.map(|l| start + l);
     let minimize = problem.sense == Sense::Minimize;
 
-    // Validate the warm-start hint against the *original* problem up
-    // front (bounds, integrality, every row). A root solve that comes out
-    // integral is proven optimal regardless, so acceptance is recorded
-    // here rather than at the injection point below.
-    let hint = hint.filter(|h| problem.is_feasible(h, config.int_tol));
-
     // ---- presolve: forced reductions + optional cuts ----
-    let mut stats = SolveStats {
-        hint_accepted: hint.is_some(),
-        ..SolveStats::default()
-    };
+    let mut stats = SolveStats::default();
     let pre = {
         let _span = obs.span("phase.ilp.presolve");
         prepare(problem, config, &mut stats)
@@ -928,12 +890,6 @@ fn solve_milp_inner(
     };
     if let Some((obj, x)) = root_incumbent {
         search.offer_incumbent(obj, x);
-    }
-    // Warm start: the validated caller-supplied previous solution seeds
-    // the incumbent exactly like the root rounding heuristic
-    // (offer_incumbent keeps whichever is better).
-    if let Some(h) = hint {
-        search.offer_incumbent(to_min(minimize, problem.objective_value(h)), h.to_vec());
     }
     let (dive, other) = search.make_children(
         &[],
@@ -1045,71 +1001,6 @@ mod tests {
         let s = solve_milp(&p, &cfg()).unwrap();
         assert!((s.objective - 20.0).abs() < 1e-5, "got {}", s.objective);
         assert!(s.stats.proven_optimal);
-    }
-
-    #[test]
-    fn hinted_solve_matches_cold_and_records_acceptance() {
-        // A knapsack with a fractional root, solved cold and then re-solved
-        // with the cold solution as the warm-start hint: same objective,
-        // same values, and the hint is recorded as accepted.
-        let build = || {
-            let mut p = Problem::maximize();
-            let x1 = p.add_binary("x1");
-            let x2 = p.add_binary("x2");
-            let x3 = p.add_binary("x3");
-            p.add_constraint("w", 3.0 * x1 + 4.0 * x2 + 2.0 * x3, Cmp::Le, 6.0);
-            p.set_objective(10.0 * x1 + 13.0 * x2 + 7.0 * x3);
-            p
-        };
-        let cold = solve_milp(&build(), &cfg()).unwrap();
-        let p = build();
-        let warm = solve_milp_with(&p, &cfg(), Some(&cold.values), &nova_obs::Obs::noop()).unwrap();
-        assert_eq!(warm.objective, cold.objective);
-        assert_eq!(warm.values, cold.values);
-        assert!(warm.stats.proven_optimal);
-        assert!(warm.stats.hint_accepted);
-    }
-
-    #[test]
-    fn infeasible_hint_is_ignored() {
-        let mut p = Problem::maximize();
-        let x1 = p.add_binary("x1");
-        let x2 = p.add_binary("x2");
-        let x3 = p.add_binary("x3");
-        p.add_constraint("w", 3.0 * x1 + 4.0 * x2 + 2.0 * x3, Cmp::Le, 6.0);
-        p.set_objective(10.0 * x1 + 13.0 * x2 + 7.0 * x3);
-        // All-ones violates the knapsack row; wrong length fails the
-        // feasibility check outright. Either way the solve proceeds cold.
-        for bad in [vec![1.0, 1.0, 1.0], vec![1.0]] {
-            let s = solve_milp_with(&p, &cfg(), Some(&bad), &nova_obs::Obs::noop()).unwrap();
-            assert!((s.objective - 20.0).abs() < 1e-5, "got {}", s.objective);
-            assert!(!s.stats.hint_accepted);
-        }
-    }
-
-    #[test]
-    fn hint_survives_zero_budget_as_incumbent() {
-        // With a zero deadline the cold solve exhausts its budget before
-        // finding any integer point only if the root LP also times out; to
-        // keep this robust, check the weaker guarantee that a hinted solve
-        // under a tiny budget never returns an objective worse than the
-        // hint's.
-        let build = || {
-            let mut p = Problem::maximize();
-            let x1 = p.add_binary("x1");
-            let x2 = p.add_binary("x2");
-            let x3 = p.add_binary("x3");
-            p.add_constraint("w", 3.0 * x1 + 4.0 * x2 + 2.0 * x3, Cmp::Le, 6.0);
-            p.set_objective(10.0 * x1 + 13.0 * x2 + 7.0 * x3);
-            p
-        };
-        let cold = solve_milp(&build(), &cfg()).unwrap();
-        let p = build();
-        let mut tight = cfg();
-        tight.time_limit = Some(Duration::from_millis(1));
-        if let Ok(s) = solve_milp_with(&p, &tight, Some(&cold.values), &nova_obs::Obs::noop()) {
-            assert!(s.objective >= cold.objective - 1e-9);
-        }
     }
 
     #[test]

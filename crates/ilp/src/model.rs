@@ -303,13 +303,11 @@ impl Model {
         &mut self,
         config: &crate::branch::BranchConfig,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        self.solve_with(config, None, &nova_obs::Obs::noop())
+        self.solve_with(config, &nova_obs::Obs::noop())
     }
 
-    /// [`solve`](Self::solve) with structured telemetry, optionally
-    /// warm-started from a previous solution's variable values (see
-    /// [`crate::solve_milp_with`]; an infeasible or wrong-length hint is
-    /// ignored).
+    /// [`solve`](Self::solve) with structured telemetry (see
+    /// [`crate::solve_milp_with`]).
     ///
     /// # Errors
     ///
@@ -317,10 +315,9 @@ impl Model {
     pub fn solve_with(
         &mut self,
         config: &crate::branch::BranchConfig,
-        hint: Option<&[f64]>,
         obs: &nova_obs::Obs,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        crate::branch::solve_milp_with(self.problem(), config, hint, obs)
+        crate::branch::solve_milp_with(self.problem(), config, obs)
     }
 
     /// Solve only the LP relaxation and round (see

@@ -38,7 +38,7 @@ use crate::chip::{
 use crate::machine::SimMemory;
 use crate::packets::FlowPacket;
 use crate::topology::{
-    grant_latencies, shard_memories, shard_of, simulate_topology, LatencySummary, TopologyConfig,
+    grant_latencies, shard_memory, shard_of, simulate_topology, LatencySummary, TopologyConfig,
     TopologyError,
 };
 use ixp_machine::{Block, BlockId, Instr, PhysReg, Program, Terminator};
@@ -280,8 +280,8 @@ fn sub_trace(trace: &[FlowPacket], chips: usize, shard: usize) -> Vec<FlowPacket
 /// Per-flow disruption accounting over a finished shard run. Joins the
 /// admission log back to the shard trace (arrival order), and through the
 /// FIFO backlog each admitted packet to its grant and latency.
-fn disruption(sub: &[FlowPacket], mem: &SimMemory, swap: &SwapReport) -> DisruptionReport {
-    let lats = grant_latencies(mem);
+fn disruption(sub: &[FlowPacket], run: &StageRun, swap: &SwapReport) -> DisruptionReport {
+    let StageRun { mem, lats } = run;
     let swap_cycle = swap.swap_cycle;
     let recover = swap.first_tx_cycle;
     // 0 = pre, 1 = during (outage), 2 = post.
@@ -371,7 +371,15 @@ fn stage_swap(new: &Program<PhysReg>, cfg: &RolloutConfig, stage: usize) -> Imag
     swap
 }
 
-/// Run one shard's reload and return `(mem, swap reports)`.
+/// One finished shard reload: the chip's memory and the per-grant
+/// latencies read off it once ([`grant_latencies`]) for both the health
+/// gate and the disruption report.
+struct StageRun {
+    mem: SimMemory,
+    lats: Vec<Option<u64>>,
+}
+
+/// Run one shard's reload and return it with one report per swap.
 fn run_stage<F>(
     boot: &Program<PhysReg>,
     swaps: &[ImageSwap],
@@ -379,15 +387,15 @@ fn run_stage<F>(
     trace: &[FlowPacket],
     write_packet: &F,
     shard: usize,
-) -> Result<(SimMemory, Vec<SwapReport>), TopologyError>
+) -> Result<(StageRun, Vec<SwapReport>), TopologyError>
 where
     F: Fn(&mut SimMemory, u32, u32),
 {
-    let mut mems = shard_memories(cfg, trace, write_packet);
-    let mut mem = mems.swap_remove(shard);
+    let mut mem = shard_memory(cfg, trace, write_packet, shard);
     let (_, reports) = simulate_chip_reload(boot, swaps, &mut mem, cfg.chip_for(shard))
         .map_err(|error| TopologyError { chip: shard, error })?;
-    Ok((mem, reports))
+    let lats = grant_latencies(&mem);
+    Ok((StageRun { mem, lats }, reports))
 }
 
 /// Health numbers the SLO gate consumes: whole-run drop rate and p99
@@ -396,10 +404,10 @@ where
 /// inevitably queue through the stall — that spike is reported in the
 /// [`DisruptionReport`]'s `during` window, but gating on it would roll
 /// back every update; the gate measures the new image's steady state.
-fn stage_health(sub: &[FlowPacket], mem: &SimMemory, since: Option<u64>) -> (f64, u64) {
+fn stage_health(sub: &[FlowPacket], run: &StageRun, since: Option<u64>) -> (f64, u64) {
+    let StageRun { mem, lats } = run;
     let offered = (mem.rx_dropped + mem.rx_grants.len() as u64).max(1);
     let drop_rate = mem.rx_dropped as f64 / offered as f64;
-    let lats = grant_latencies(mem);
     let cut = since.unwrap_or(0);
     let mut post: Vec<u64> = Vec::new();
     let mut grant_j = 0usize;
@@ -508,18 +516,18 @@ where
     F: Fn(&mut SimMemory, u32, u32),
 {
     let swap = stage_swap(new, cfg, chip);
-    let (mem, reports) = run_stage(old, &[swap], &cfg.topology, trace, write_packet, chip)?;
+    let (run, reports) = run_stage(old, &[swap], &cfg.topology, trace, write_packet, chip)?;
     let report = reports.into_iter().next().expect("one swap, one report");
     let baseline_drop_rate = baseline.dropped as f64 / baseline.offered.max(1) as f64;
     let baseline_p99 = baseline.latency.p99;
 
-    let (candidate_drop_rate, candidate_p99) = stage_health(sub, &mem, report.first_tx_cycle);
+    let (candidate_drop_rate, candidate_p99) = stage_health(sub, &run, report.first_tx_cycle);
     let slo_violation = match report.outcome {
         SwapOutcome::RejectedChecksum { .. } => {
             return Ok(StageReport {
                 chip,
                 outcome: StageOutcome::RolledBack(RollbackReason::ChecksumRejected),
-                disruption: disruption(sub, &mem, &report),
+                disruption: disruption(sub, &run, &report),
                 swap: report,
                 baseline_drop_rate,
                 baseline_p99,
@@ -534,7 +542,7 @@ where
             return Ok(StageReport {
                 chip,
                 outcome: StageOutcome::RolledBack(RollbackReason::WatchdogFired),
-                disruption: disruption(sub, &mem, &report),
+                disruption: disruption(sub, &run, &report),
                 swap: report,
                 baseline_drop_rate,
                 baseline_p99,
@@ -561,7 +569,7 @@ where
         return Ok(StageReport {
             chip,
             outcome: StageOutcome::Committed,
-            disruption: disruption(sub, &mem, &report),
+            disruption: disruption(sub, &run, &report),
             swap: report,
             baseline_drop_rate,
             baseline_p99,
@@ -580,7 +588,7 @@ where
         ..ImageSwap::new(cfg.swap_after + cfg.observe_packets, old.clone())
     }
     .with_watchdog(cfg.watchdog);
-    let (mem2, reports2) = run_stage(
+    let (rerun, reports2) = run_stage(
         old,
         &[forward, back],
         &cfg.topology,
@@ -591,11 +599,11 @@ where
     let mut it = reports2.into_iter();
     let fwd_report = it.next().expect("forward swap report");
     let back_report = it.next().expect("rollback swap report");
-    let (rb_drop_rate, rb_p99) = stage_health(sub, &mem2, fwd_report.first_tx_cycle);
+    let (rb_drop_rate, rb_p99) = stage_health(sub, &rerun, fwd_report.first_tx_cycle);
     Ok(StageReport {
         chip,
         outcome: StageOutcome::RolledBack(reason),
-        disruption: disruption(sub, &mem2, &fwd_report),
+        disruption: disruption(sub, &rerun, &fwd_report),
         swap: fwd_report,
         baseline_drop_rate,
         baseline_p99,
@@ -630,12 +638,12 @@ where
     for chip in 0..chips {
         let sub = sub_trace(trace, chips, chip);
         let swap = stage_swap(new, cfg, chip);
-        let (mem, reports) = run_stage(old, &[swap], &cfg.topology, trace, &write_packet, chip)?;
+        let (run, reports) = run_stage(old, &[swap], &cfg.topology, trace, &write_packet, chip)?;
         let report = reports.into_iter().next().expect("one swap, one report");
         if let Some(sc) = report.swap_cycle {
             windows.push((sc, report.first_tx_cycle.unwrap_or(u64::MAX)));
         }
-        let (drop_rate, p99) = stage_health(&sub, &mem, report.first_tx_cycle);
+        let (drop_rate, p99) = stage_health(&sub, &run, report.first_tx_cycle);
         let outcome = match report.outcome {
             SwapOutcome::RejectedChecksum { .. } => {
                 StageOutcome::RolledBack(RollbackReason::ChecksumRejected)
@@ -648,7 +656,7 @@ where
         stages.push(StageReport {
             chip,
             outcome,
-            disruption: disruption(&sub, &mem, &report),
+            disruption: disruption(&sub, &run, &report),
             swap: report,
             baseline_drop_rate: 0.0,
             baseline_p99: 0,

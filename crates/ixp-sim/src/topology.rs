@@ -260,10 +260,8 @@ where
     })
 }
 
-/// Build every shard's [`SimMemory`] from the global trace: the balancer
-/// split, length-class slot rings, and the timed arrival schedule. Shared
-/// with the rollout controller so a staged re-run of one shard sees
-/// byte-identical input to the topology run it is compared against.
+/// Build every shard's [`SimMemory`] from the global trace (see
+/// [`shard_memory`]).
 pub(crate) fn shard_memories<F>(
     cfg: &TopologyConfig,
     trace: &[FlowPacket],
@@ -272,45 +270,59 @@ pub(crate) fn shard_memories<F>(
 where
     F: Fn(&mut SimMemory, u32, u32),
 {
+    (0..cfg.chips.max(1))
+        .map(|shard| shard_memory(cfg, trace, write_packet, shard))
+        .collect()
+}
+
+/// Build one shard's [`SimMemory`] from the global trace: the balancer
+/// split, length-class slot rings, and the timed arrival schedule. Shared
+/// with the rollout controller so a staged re-run of one shard sees
+/// byte-identical input to the topology run it is compared against.
+pub(crate) fn shard_memory<F>(
+    cfg: &TopologyConfig,
+    trace: &[FlowPacket],
+    write_packet: &F,
+    shard: usize,
+) -> SimMemory
+where
+    F: Fn(&mut SimMemory, u32, u32),
+{
     let chips = cfg.chips.max(1);
-    let mut mems: Vec<SimMemory> = Vec::with_capacity(chips);
-    for shard in 0..chips {
-        let chip = cfg.chip_for(shard);
-        // A slot must not be re-granted while its previous occupant can
-        // still be queued or in service: bound in-flight packets per chip.
-        let in_flight = cfg.rx_capacity + chip.engines.max(1) * chip.contexts.max(1);
-        let slots = cfg.slots_per_class.max(in_flight + 1) as u32;
-        let mut mem = SimMemory {
-            rx_capacity: cfg.rx_capacity,
-            ..Default::default()
-        };
-        // Length classes in first-seen order; each gets a ring of
-        // pre-written buffers.
-        let mut classes: Vec<(u32, u32, u32)> = Vec::new(); // (bytes, base, stride)
-        let mut next_base = 0u32;
-        let mut ring_pos: Vec<u32> = Vec::new();
-        for p in trace.iter().filter(|p| shard_of(p.flow, chips) == shard) {
-            let ci = match classes.iter().position(|c| c.0 == p.bytes) {
-                Some(i) => i,
-                None => {
-                    let stride = (p.bytes.div_ceil(4) + 1) & !1; // quad-word aligned
-                    classes.push((p.bytes, next_base, stride));
-                    ring_pos.push(0);
-                    for s in 0..slots {
-                        write_packet(&mut mem, next_base + s * stride, p.bytes);
-                    }
-                    next_base += slots * stride;
-                    classes.len() - 1
+    let chip = cfg.chip_for(shard);
+    // A slot must not be re-granted while its previous occupant can
+    // still be queued or in service: bound in-flight packets per chip.
+    let in_flight = cfg.rx_capacity + chip.engines.max(1) * chip.contexts.max(1);
+    let slots = cfg.slots_per_class.max(in_flight + 1) as u32;
+    let mut mem = SimMemory {
+        rx_capacity: cfg.rx_capacity,
+        ..Default::default()
+    };
+    // Length classes in first-seen order; each gets a ring of
+    // pre-written buffers.
+    let mut classes: Vec<(u32, u32, u32)> = Vec::new(); // (bytes, base, stride)
+    let mut next_base = 0u32;
+    let mut ring_pos: Vec<u32> = Vec::new();
+    for p in trace.iter().filter(|p| shard_of(p.flow, chips) == shard) {
+        let ci = match classes.iter().position(|c| c.0 == p.bytes) {
+            Some(i) => i,
+            None => {
+                let stride = (p.bytes.div_ceil(4) + 1) & !1; // quad-word aligned
+                classes.push((p.bytes, next_base, stride));
+                ring_pos.push(0);
+                for s in 0..slots {
+                    write_packet(&mut mem, next_base + s * stride, p.bytes);
                 }
-            };
-            let (bytes, base, stride) = classes[ci];
-            let addr = base + ring_pos[ci] * stride;
-            ring_pos[ci] = (ring_pos[ci] + 1) % slots;
-            mem.rx_arrivals.push_back((p.arrival, bytes, addr));
-        }
-        mems.push(mem);
+                next_base += slots * stride;
+                classes.len() - 1
+            }
+        };
+        let (bytes, base, stride) = classes[ci];
+        let addr = base + ring_pos[ci] * stride;
+        ring_pos[ci] = (ring_pos[ci] + 1) % slots;
+        mem.rx_arrivals.push_back((p.arrival, bytes, addr));
     }
-    mems
+    mem
 }
 
 /// Per-grant latency of one finished chip, aligned with `rx_grants`:

@@ -16,7 +16,7 @@ pub use facts::{build as build_facts, Fact, Facts, PointId};
 pub use model::{
     build_model, move_cost, solve, solve_with, AllocConfig, AllocStats, Assignment, BankModel, Fig6,
 };
-pub use staged::{AllocQuality, FallbackPolicy, Solved};
+pub use staged::{AllocQuality, FallbackPolicy};
 pub use verify::verify;
 
 use crate::color::{assign_ab, ColorStats};
@@ -81,8 +81,8 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Run the full allocator on a virtual-register program (no telemetry,
-/// no warm start; see [`allocate_solved_with`] for both).
+/// Run the full allocator on a virtual-register program (no telemetry;
+/// see [`allocate_solved_with`]).
 ///
 /// # Errors
 ///
@@ -92,20 +92,20 @@ impl std::error::Error for AllocError {}
 /// exhaustion is *not* an error: the allocator degrades through
 /// relaxations down to the greedy fallback (see [`staged`]).
 pub fn allocate(prog: &Program<Temp>, cfg: &AllocConfig) -> Result<Allocation, AllocError> {
-    allocate_solved_with(prog, cfg, None, &nova_obs::Obs::noop()).map(|(alloc, _)| alloc)
+    allocate_solved_with(prog, cfg, &nova_obs::Obs::noop()).map(|(alloc, _)| alloc)
 }
 
-/// The reusable solver-side state of a successful allocation: the facts
-/// the model was built from plus the accepted rung's [`Solved`] artifacts.
-/// A compile session caches this per program *structure* (immediates
-/// masked) so a constant-only edit can skip the MILP entirely and just
-/// [`refinish_with`] the cached assignment against the edited program,
-/// and so the raw solution vector can warm-start the next structurally
-/// compatible solve.
+/// The reusable solver-side state of a successful allocation — the one
+/// record every rung of the [`staged`] ladder and the disk-cache readopt
+/// path produce: the facts the model was built from, the model, and the
+/// accepted rung's decoded assignment, statistics and quality. A compile
+/// session caches this per program *structure* (immediates masked) so a
+/// constant-only edit can skip the MILP entirely and just
+/// [`refinish_with`] the cached assignment against the edited program.
 pub struct SolvedAllocation {
     /// Liveness/def-use facts of the program the model was built from.
     pub facts: Facts,
-    /// The generated bank model.
+    /// The generated bank model the assignment indexes into.
     pub bm: BankModel,
     /// The decoded assignment.
     pub asg: Assignment,
@@ -113,9 +113,12 @@ pub struct SolvedAllocation {
     pub stats: AllocStats,
     /// Stage/gap/spill quality record of the accepted rung.
     pub quality: AllocQuality,
-    /// Raw MILP/LP variable values of the accepted solution (`None` for
-    /// the greedy rung).
-    pub values: Option<Vec<f64>>,
+    /// Always `None` and read by nothing: the raw solution vector this
+    /// held is gone. Kept only because the frozen `benchmark/` package
+    /// writes `values: None` in a struct literal; remove with the next
+    /// benchmark change (see ROADMAP).
+    #[doc(hidden)]
+    pub values: Option<std::convert::Infallible>,
 }
 
 /// The deterministic preamble of every path that needs a bank model:
@@ -147,10 +150,9 @@ fn preamble(
     (facts, freqs, cfg)
 }
 
-/// [`allocate`] with structured telemetry, an optional MILP warm-start
-/// `hint` (a raw variable vector from a previous structurally compatible
-/// solve; silently ignored if infeasible for this model), and the
-/// [`SolvedAllocation`] artifacts returned for session caching.
+/// [`allocate`] with structured telemetry, returning the
+/// [`SolvedAllocation`] artifacts beside the allocation for session
+/// caching.
 ///
 /// Fact extraction and frequency estimation run under a `phase.ilp` span
 /// (`backend.facts` and `backend.freq` sub-spans); CSR model generation
@@ -170,33 +172,21 @@ fn preamble(
 pub fn allocate_solved_with(
     prog: &Program<Temp>,
     cfg: &AllocConfig,
-    hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
 ) -> Result<(Allocation, SolvedAllocation), AllocError> {
     let ilp_span = obs.span("phase.ilp");
     let (facts, freqs, cfg) = preamble(prog, cfg, obs);
     ilp_span.end();
-    let (alloc, solved) = staged::run(prog, &facts, &freqs, &cfg, hint, obs)?;
-    Ok((
-        alloc,
-        SolvedAllocation {
-            facts,
-            bm: solved.bm,
-            asg: solved.asg,
-            stats: solved.stats,
-            quality: solved.quality,
-            values: solved.values,
-        },
-    ))
+    staged::run(prog, facts, &freqs, &cfg, obs)
 }
 
 /// Rebuild the deterministic solver-side state for `prog` and finish a
 /// previously decoded assignment against it — the disk-cache warm path.
 ///
 /// A persisted allocation entry carries only the *decision* half of a
-/// solve (the [`Assignment`], its objective, its quality record, and the
-/// raw solution vector); everything else — facts, frequencies, the bank
-/// model — is a pure function of the program and configuration, so this
+/// solve (the [`Assignment`], its objective and its quality record);
+/// everything else — facts, frequencies, the bank model — is a pure
+/// function of the program and configuration, so this
 /// recomputes it with the same preamble [`allocate_solved_with`] runs
 /// (including the automatic spill-machinery drop) and then goes straight
 /// to extraction/coloring/validation. The result is bit-identical to the
@@ -216,7 +206,6 @@ pub fn readopt_assignment_with(
     asg: Assignment,
     quality: AllocQuality,
     objective: f64,
-    values: Option<Vec<f64>>,
     obs: &nova_obs::Obs,
 ) -> Result<(Allocation, SolvedAllocation), AllocError> {
     let ilp_span = obs.span("phase.ilp");
@@ -240,7 +229,7 @@ pub fn readopt_assignment_with(
             asg,
             stats,
             quality,
-            values,
+            values: None,
         },
     ))
 }

@@ -1273,15 +1273,11 @@ pub struct AllocStats {
 /// well-formed program indicates the program genuinely cannot be allocated
 /// (e.g. spilling disabled with excessive pressure).
 pub fn solve(bm: &mut BankModel, cfg: &AllocConfig) -> Result<(Assignment, AllocStats), MilpError> {
-    solve_with(bm, cfg, None, &nova_obs::Obs::noop()).map(|(asg, stats, _)| (asg, stats))
+    solve_with(bm, cfg, &nova_obs::Obs::noop())
 }
 
 /// [`solve`] with structured telemetry (the underlying MILP search
-/// publishes its `ilp.*` events), optionally warm-started from a previous
-/// solution's raw variable values (see [`ilp::solve_milp_with`]; an
-/// infeasible or wrong-length hint is ignored). Also returns the accepted
-/// solution's raw values, which a session can keep as the hint for the
-/// next structurally-identical solve.
+/// publishes its `ilp.*` events).
 ///
 /// # Errors
 ///
@@ -1289,27 +1285,31 @@ pub fn solve(bm: &mut BankModel, cfg: &AllocConfig) -> Result<(Assignment, Alloc
 pub fn solve_with(
     bm: &mut BankModel,
     cfg: &AllocConfig,
-    hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
-) -> Result<(Assignment, AllocStats, Vec<f64>), MilpError> {
-    let stats_model = bm.model.stats();
-    let sol = bm.model.solve_with(&cfg.solver, hint, obs)?;
+) -> Result<(Assignment, AllocStats), MilpError> {
+    let sol = bm.model.solve_with(&cfg.solver, obs)?;
+    Ok(decode_solution(bm, sol))
+}
+
+/// Read a MILP (or rounded-LP) solution of `bm` as an assignment plus
+/// the statistics record every rung of the fallback ladder reports.
+pub(crate) fn decode_solution(bm: &BankModel, sol: ilp::MilpSolution) -> (Assignment, AllocStats) {
     let assignment = decode_assignment(bm, &sol.values);
     let stats = AllocStats {
-        model: stats_model,
+        model: bm.model.stats(),
         solve: sol.stats,
         fig6: bm.fig6,
         moves: assignment.n_moves,
         spills: assignment.n_spills,
         objective: sol.objective,
     };
-    Ok((assignment, stats, sol.values))
+    (assignment, stats)
 }
 
 /// Decode the 0/1 values of any MILP solution of a [`BankModel`] into an
 /// [`Assignment`]. Shared by every stage of the fallback ladder so exact,
 /// gap-widened, and LP-rounded solutions are read identically.
-pub(crate) fn decode_assignment(bm: &BankModel, values: &[f64]) -> Assignment {
+fn decode_assignment(bm: &BankModel, values: &[f64]) -> Assignment {
     let mut before = HashMap::new();
     let mut after = HashMap::new();
     let mut moves_out: HashMap<PointId, Vec<(Temp, IlpBank, IlpBank)>> = HashMap::new();

@@ -29,10 +29,8 @@
 
 use super::facts::Facts;
 use super::greedy;
-use super::model::{
-    build_model, decode_assignment, solve_with, AllocConfig, AllocStats, Assignment, BankModel,
-};
-use super::{finish, AllocError, Allocation};
+use super::model::{build_model, decode_solution, solve_with, AllocConfig, BankModel};
+use super::{finish, AllocError, Allocation, SolvedAllocation};
 use crate::freq::Frequencies;
 use ilp::MilpError;
 use ixp_machine::{Program, Temp};
@@ -77,68 +75,136 @@ pub struct AllocQuality {
 /// Minimum per-stage wall-clock budget for ladder retries.
 const BACKOFF_FLOOR: Duration = Duration::from_millis(50);
 
-/// The solver-side artifacts of the rung that produced an accepted
-/// allocation: the model, the decoded assignment, and (for MILP/LP rungs)
-/// the raw solution values. A session caches these to re-finish a
-/// structurally identical program, or to warm-start the next solve.
-pub struct Solved {
-    /// The generated bank model the accepted solution indexes into.
-    pub bm: BankModel,
-    /// The decoded assignment.
-    pub asg: Assignment,
-    /// Model and solver statistics of the accepted rung.
-    pub stats: AllocStats,
-    /// Stage/gap/spill quality record of the accepted rung.
-    pub quality: AllocQuality,
-    /// Raw MILP/LP variable values of the accepted solution (`None` for
-    /// the greedy rung, which never builds a solution vector).
-    pub values: Option<Vec<f64>>,
+/// One solver-backed row of the table above: the configured allocator
+/// settings with this rung's relaxations applied.
+struct Rung {
+    stage: u8,
+    /// Floor under the configured relative optimality gap.
+    gap_floor: f64,
+    /// The §9 redundant cuts stay as configured (`true`) or are dropped.
+    redundant_cuts: bool,
+    /// Wall-clock budget in multiples of the backoff base (the configured
+    /// deadline, floored at [`BACKOFF_FLOOR`]); 0 keeps the configured
+    /// deadline itself.
+    budget: u32,
+    /// Round the root-LP relaxation instead of searching a tree.
+    rounding: bool,
 }
+
+const EXACT: Rung = Rung {
+    stage: 0,
+    gap_floor: 0.0,
+    redundant_cuts: true,
+    budget: 0,
+    rounding: false,
+};
+
+#[rustfmt::skip]
+const RELAXED: [Rung; 3] = [
+    Rung { stage: 1, gap_floor: 0.05, redundant_cuts: true,  budget: 1, rounding: false },
+    Rung { stage: 2, gap_floor: 0.20, redundant_cuts: false, budget: 2, rounding: false },
+    Rung { stage: 3, gap_floor: 0.20, redundant_cuts: false, budget: 4, rounding: true },
+];
 
 /// Run the staged allocator: solve (with fallback per `cfg.fallback`),
 /// then extract, color, and validate. Returns the finished allocation
-/// together with the accepted rung's solver artifacts. `hint` warm-starts
-/// the stage-0 exact solve (ignored when infeasible for the model).
+/// together with the accepted rung's solver artifacts.
 pub(crate) fn run(
     prog: &Program<Temp>,
-    facts: &Facts,
+    facts: Facts,
     freqs: &Frequencies,
     cfg: &AllocConfig,
-    hint: Option<&[f64]>,
     obs: &nova_obs::Obs,
-) -> Result<(Allocation, Solved), AllocError> {
-    match cfg.fallback {
-        FallbackPolicy::Greedy => greedy_stage(prog, facts, freqs, cfg, obs),
-        FallbackPolicy::Fail | FallbackPolicy::Incumbent => {
-            let mut bm = build_model_timed(prog, facts, freqs, cfg, obs);
-            let (asg, stats, values) =
-                attempt(&mut bm, cfg, hint, obs).map_err(AllocError::Solver)?;
-            if cfg.fallback == FallbackPolicy::Fail && !stats.solve.proven_optimal {
-                return Err(AllocError::Solver(MilpError::BudgetExhausted(Box::new(
-                    stats.solve,
-                ))));
-            }
-            let quality = AllocQuality {
-                stage: 0,
-                proven_optimal: stats.solve.proven_optimal,
-                gap: stats.solve.gap,
-                spills: asg.n_spills,
-            };
-            emit_outcome(obs, &quality);
-            let alloc = finish(prog, facts, &bm, &asg, stats.clone(), quality, obs)?;
-            Ok((
-                alloc,
-                Solved {
+) -> Result<(Allocation, SolvedAllocation), AllocError> {
+    if cfg.fallback == FallbackPolicy::Greedy {
+        return greedy_stage(prog, facts, freqs, cfg, obs);
+    }
+    // Only `Ladder` survives a rung that exhausts its budget or whose
+    // solution a downstream phase rejects; under `Fail`/`Incumbent` the
+    // exact rung is the only one and every failure of it is the error.
+    let ladder = cfg.fallback == FallbackPolicy::Ladder;
+    let relaxed: &[Rung] = if ladder { &RELAXED } else { &[] };
+    // Exponential budget backoff: each relaxed rung gets a multiple of
+    // the configured deadline, floored at 50 ms.
+    let base = cfg
+        .solver
+        .time_limit
+        .unwrap_or(BACKOFF_FLOOR)
+        .max(BACKOFF_FLOOR);
+
+    // One model serves consecutive rungs; it is rebuilt when the cuts
+    // column changes.
+    let mut bm = build_model_timed(prog, &facts, freqs, cfg, obs);
+    let mut cuts = EXACT.redundant_cuts;
+    for rung in std::iter::once(&EXACT).chain(relaxed) {
+        let mut c = cfg.clone();
+        c.redundant_cuts &= rung.redundant_cuts;
+        c.solver.relative_gap = c.solver.relative_gap.max(rung.gap_floor);
+        if rung.redundant_cuts != cuts {
+            bm = build_model_timed(prog, &facts, freqs, &c, obs);
+            cuts = rung.redundant_cuts;
+        }
+        if rung.budget > 0 {
+            let budget = base * rung.budget;
+            c.solver.time_limit = Some(budget);
+            obs.sample("backend.staged.backoff_ms", budget.as_secs_f64() * 1e3);
+        }
+
+        let span = obs.span("phase.ilp.stage");
+        obs.counter("backend.staged.attempts", 1);
+        let solved = if rung.rounding {
+            let rounded = bm.model.solve_rounded_with(&c.solver, obs);
+            rounded.map(|sol| decode_solution(&bm, sol))
+        } else {
+            solve_with(&mut bm, &c, obs)
+        };
+        span.end();
+        let (asg, stats) = match solved {
+            Ok(s) => s,
+            Err(MilpError::BudgetExhausted(_)) if ladder => continue,
+            // Infeasible/Unbounded/Numerical are facts about the model, not
+            // the budget: no relaxation rung below changes them.
+            Err(e) => return Err(AllocError::Solver(e)),
+        };
+        if cfg.fallback == FallbackPolicy::Fail && !stats.solve.proven_optimal {
+            return Err(AllocError::Solver(MilpError::BudgetExhausted(Box::new(
+                stats.solve,
+            ))));
+        }
+
+        // ---- accept: the rung's solution must survive the shared gates ----
+        let quality = AllocQuality {
+            stage: rung.stage,
+            proven_optimal: stats.solve.proven_optimal,
+            gap: stats.solve.gap,
+            spills: asg.n_spills,
+        };
+        emit_outcome(obs, &quality);
+        match finish(prog, &facts, &bm, &asg, stats.clone(), quality, obs) {
+            Ok(alloc) => {
+                let solved = SolvedAllocation {
+                    facts,
                     bm,
                     asg,
                     stats,
                     quality,
-                    values: Some(values),
-                },
-            ))
+                    values: None,
+                };
+                return Ok((alloc, solved));
+            }
+            // Downstream rejection of this rung's solution: fall through.
+            Err(
+                AllocError::Extract(_)
+                | AllocError::Color(_)
+                | AllocError::Invalid(_)
+                | AllocError::Verify(_),
+            ) if ladder => obs.counter("backend.staged.finish_failed", 1),
+            Err(e) => return Err(e),
         }
-        FallbackPolicy::Ladder => ladder(prog, facts, freqs, cfg, hint, obs),
     }
+
+    // ---- stage 4: greedy park-in-scratch, always succeeds ----
+    greedy_stage(prog, facts, freqs, cfg, obs)
 }
 
 /// CSR model generation under a `phase.ilp.model` span, so the report
@@ -157,222 +223,23 @@ fn build_model_timed(
     bm
 }
 
-/// One MILP attempt under a `phase.ilp.stage` span.
-fn attempt(
-    bm: &mut BankModel,
-    cfg: &AllocConfig,
-    hint: Option<&[f64]>,
-    obs: &nova_obs::Obs,
-) -> Result<(Assignment, AllocStats, Vec<f64>), MilpError> {
-    let span = obs.span("phase.ilp.stage");
-    obs.counter("backend.staged.attempts", 1);
-    let out = solve_with(bm, cfg, hint, obs);
-    span.end();
-    out
-}
-
 fn emit_outcome(obs: &nova_obs::Obs, q: &AllocQuality) {
     obs.counter("backend.staged.stage", u64::from(q.stage));
     obs.sample("backend.staged.gap", q.gap);
-}
-
-/// Try to finish a solved rung; `Ok(None)` means the solution failed a
-/// downstream phase and the ladder should fall to the next rung.
-fn try_finish(
-    prog: &Program<Temp>,
-    facts: &Facts,
-    bm: &BankModel,
-    asg: &Assignment,
-    stats: &AllocStats,
-    quality: AllocQuality,
-    obs: &nova_obs::Obs,
-) -> Result<Option<Allocation>, AllocError> {
-    emit_outcome(obs, &quality);
-    match finish(prog, facts, bm, asg, stats.clone(), quality, obs) {
-        Ok(alloc) => Ok(Some(alloc)),
-        // Downstream rejection of this stage's solution: fall through.
-        Err(
-            AllocError::Extract(_)
-            | AllocError::Color(_)
-            | AllocError::Invalid(_)
-            | AllocError::Verify(_),
-        ) => {
-            obs.counter("backend.staged.finish_failed", 1);
-            Ok(None)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-fn ladder(
-    prog: &Program<Temp>,
-    facts: &Facts,
-    freqs: &Frequencies,
-    cfg: &AllocConfig,
-    hint: Option<&[f64]>,
-    obs: &nova_obs::Obs,
-) -> Result<(Allocation, Solved), AllocError> {
-    // ---- stage 0: exact MILP under the configured deadline ----
-    let mut bm = build_model_timed(prog, facts, freqs, cfg, obs);
-    match attempt(&mut bm, cfg, hint, obs) {
-        Ok((asg, stats, values)) => {
-            let quality = AllocQuality {
-                stage: 0,
-                proven_optimal: stats.solve.proven_optimal,
-                gap: stats.solve.gap,
-                spills: asg.n_spills,
-            };
-            if let Some(alloc) = try_finish(prog, facts, &bm, &asg, &stats, quality, obs)? {
-                return Ok((
-                    alloc,
-                    Solved {
-                        bm,
-                        asg,
-                        stats,
-                        quality,
-                        values: Some(values),
-                    },
-                ));
-            }
-        }
-        Err(MilpError::BudgetExhausted(_)) => {}
-        // Infeasible/Unbounded/Numerical are facts about the model, not
-        // the budget: no relaxation rung below changes them.
-        Err(e) => return Err(AllocError::Solver(e)),
-    }
-
-    // Exponential budget backoff: each rung gets twice the allowance of
-    // the previous one, floored at 50 ms.
-    let base = cfg
-        .solver
-        .time_limit
-        .unwrap_or(BACKOFF_FLOOR)
-        .max(BACKOFF_FLOOR);
-
-    // ---- stage 1: widen the optimality gap on the same model ----
-    {
-        let mut c1 = cfg.clone();
-        c1.solver.relative_gap = cfg.solver.relative_gap.max(0.05);
-        c1.solver.time_limit = Some(base);
-        obs.sample("backend.staged.backoff_ms", base.as_secs_f64() * 1e3);
-        match attempt(&mut bm, &c1, None, obs) {
-            Ok((asg, stats, values)) => {
-                let quality = AllocQuality {
-                    stage: 1,
-                    proven_optimal: stats.solve.proven_optimal,
-                    gap: stats.solve.gap,
-                    spills: asg.n_spills,
-                };
-                if let Some(alloc) = try_finish(prog, facts, &bm, &asg, &stats, quality, obs)? {
-                    return Ok((
-                        alloc,
-                        Solved {
-                            bm,
-                            asg,
-                            stats,
-                            quality,
-                            values: Some(values),
-                        },
-                    ));
-                }
-            }
-            Err(MilpError::BudgetExhausted(_)) => {}
-            Err(e) => return Err(AllocError::Solver(e)),
-        }
-    }
-
-    // ---- stage 2: drop the redundant aggregate cuts, gap 20 % ----
-    let mut c2 = cfg.clone();
-    c2.redundant_cuts = false;
-    c2.solver.relative_gap = cfg.solver.relative_gap.max(0.20);
-    c2.solver.time_limit = Some(base * 2);
-    let mut bm2 = build_model_timed(prog, facts, freqs, &c2, obs);
-    obs.sample("backend.staged.backoff_ms", (base * 2).as_secs_f64() * 1e3);
-    match attempt(&mut bm2, &c2, None, obs) {
-        Ok((asg, stats, values)) => {
-            let quality = AllocQuality {
-                stage: 2,
-                proven_optimal: stats.solve.proven_optimal,
-                gap: stats.solve.gap,
-                spills: asg.n_spills,
-            };
-            if let Some(alloc) = try_finish(prog, facts, &bm2, &asg, &stats, quality, obs)? {
-                return Ok((
-                    alloc,
-                    Solved {
-                        bm: bm2,
-                        asg,
-                        stats,
-                        quality,
-                        values: Some(values),
-                    },
-                ));
-            }
-        }
-        Err(MilpError::BudgetExhausted(_)) => {}
-        Err(e) => return Err(AllocError::Solver(e)),
-    }
-
-    // ---- stage 3: root-LP relaxation + rounding on the cut-free model ----
-    {
-        let mut c3 = c2.solver.clone();
-        c3.time_limit = Some(base * 4);
-        obs.sample("backend.staged.backoff_ms", (base * 4).as_secs_f64() * 1e3);
-        let span = obs.span("phase.ilp.stage");
-        obs.counter("backend.staged.attempts", 1);
-        let rounded = bm2.model.solve_rounded_with(&c3, obs);
-        span.end();
-        match rounded {
-            Ok(sol) => {
-                let asg = decode_assignment(&bm2, &sol.values);
-                let quality = AllocQuality {
-                    stage: 3,
-                    proven_optimal: sol.stats.proven_optimal,
-                    gap: sol.stats.gap,
-                    spills: asg.n_spills,
-                };
-                let stats = AllocStats {
-                    model: bm2.model.stats(),
-                    solve: sol.stats,
-                    fig6: bm2.fig6,
-                    moves: asg.n_moves,
-                    spills: asg.n_spills,
-                    objective: sol.objective,
-                };
-                if let Some(alloc) = try_finish(prog, facts, &bm2, &asg, &stats, quality, obs)? {
-                    return Ok((
-                        alloc,
-                        Solved {
-                            bm: bm2,
-                            asg,
-                            stats,
-                            quality,
-                            values: Some(sol.values),
-                        },
-                    ));
-                }
-            }
-            Err(MilpError::BudgetExhausted(_)) => {}
-            Err(e) => return Err(AllocError::Solver(e)),
-        }
-    }
-
-    // ---- stage 4: greedy park-in-scratch, always succeeds ----
-    greedy_stage(prog, facts, freqs, cfg, obs)
 }
 
 /// The terminal rung: deterministic greedy allocation. Failures here (or
 /// downstream of here) are genuine errors — there is nothing left to try.
 fn greedy_stage(
     prog: &Program<Temp>,
-    facts: &Facts,
+    facts: Facts,
     freqs: &Frequencies,
     cfg: &AllocConfig,
     obs: &nova_obs::Obs,
-) -> Result<(Allocation, Solved), AllocError> {
+) -> Result<(Allocation, SolvedAllocation), AllocError> {
     let span = obs.span("phase.ilp.stage");
     obs.counter("backend.staged.attempts", 1);
-    let out = greedy::allocate(prog, facts, freqs, cfg);
+    let out = greedy::allocate(prog, &facts, freqs, cfg);
     span.end();
     let (bm, asg, stats) = out?;
     let quality = AllocQuality {
@@ -382,15 +249,14 @@ fn greedy_stage(
         spills: asg.n_spills,
     };
     emit_outcome(obs, &quality);
-    let alloc = finish(prog, facts, &bm, &asg, stats.clone(), quality, obs)?;
-    Ok((
-        alloc,
-        Solved {
-            bm,
-            asg,
-            stats,
-            quality,
-            values: None,
-        },
-    ))
+    let alloc = finish(prog, &facts, &bm, &asg, stats.clone(), quality, obs)?;
+    let solved = SolvedAllocation {
+        facts,
+        bm,
+        asg,
+        stats,
+        quality,
+        values: None,
+    };
+    Ok((alloc, solved))
 }

@@ -8,9 +8,7 @@
 //!   coloring with aggregates, cloning, and spilling (§5–§10), plus
 //!   solution extraction;
 //! * [`color`] — post-ILP A/B register assignment with optimistic
-//!   coalescing (§9);
-//! * the [`compile`] entry point runs the whole pipeline from CPS to
-//!   validated machine code.
+//!   coalescing (§9).
 
 #![warn(missing_docs)]
 
@@ -25,17 +23,3 @@ pub use alloc::{
     AllocError, AllocQuality, AllocStats, Allocation, FallbackPolicy, SolvedAllocation,
 };
 pub use isel::{select, IselError};
-
-/// Compile an optimized, SSU-form CPS program all the way to validated
-/// machine code.
-///
-/// # Errors
-///
-/// Propagates selection and allocation failures.
-pub fn compile(
-    cps: &nova_cps::Cps,
-    cfg: &AllocConfig,
-) -> Result<Allocation, Box<dyn std::error::Error>> {
-    let prog = select(cps)?;
-    Ok(allocate(&prog, cfg)?)
-}

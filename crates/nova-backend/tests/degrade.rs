@@ -2,7 +2,9 @@
 //! rung produces runnable (if costly) code, and the strict policies
 //! reproduce the historical budget-exhaustion error.
 
-use nova_backend::{allocate, select, AllocConfig, AllocError, FallbackPolicy};
+use nova_backend::{
+    allocate, allocate_solved_with, select, AllocConfig, AllocError, FallbackPolicy,
+};
 use nova_cps::{convert, optimize, to_ssu, OptConfig};
 use nova_frontend::{check, parse};
 use std::time::Duration;
@@ -134,5 +136,71 @@ fn greedy_quality_is_bounded_by_exact() {
             "greedy cannot beat the proven optimum"
         );
         assert!(greedy.stats.spills >= exact.stats.spills);
+    }
+}
+
+/// The ladder's observable trace at a zero deadline, pinned for two
+/// real programs. Stage 0 exhausts deterministically (the deadline has
+/// passed before the root LP starts); how far the walk then goes depends
+/// on how fast the host solves, so the trace is pinned as a function of
+/// the accepted rung `s`: `s + 1` attempts, one `phase.ilp.stage` span
+/// each, the backoff budgets 50, 100, 200 ms in that order up to rung
+/// `min(s, 3)`, and one published outcome — the accepted one. Debug
+/// builds typically walk all five rungs, release builds accept rung 1.
+#[test]
+fn ladder_trace_at_zero_deadline_is_pinned() {
+    use nova_obs::{EventKind, MemoryRecorder, Obs};
+    use workloads::{classifier_rules, classifier_source, NAT_NOVA};
+
+    let classifier = classifier_source(&classifier_rules(7, 0, 16));
+    for (name, src) in [("nat", NAT_NOVA), ("classifier16", classifier.as_str())] {
+        let memory = MemoryRecorder::new();
+        let (alloc, solved) = allocate_solved_with(
+            &program(src),
+            &zero_deadline(FallbackPolicy::Ladder),
+            &Obs::new(memory.clone()),
+        )
+        .unwrap_or_else(|e| panic!("{name}: ladder must not fail: {e}"));
+
+        let q = alloc.quality;
+        assert!((1..=4).contains(&q.stage), "{name}: {q:?}");
+        assert_eq!(solved.quality, q, "{name}");
+        assert_eq!(q.spills, alloc.stats.spills, "{name}");
+        if q.stage == 4 {
+            assert!(!q.proven_optimal && q.gap == 1.0, "{name}: {q:?}");
+        }
+
+        let s = u64::from(q.stage);
+        let summary = memory.summary();
+        let counter = |c: &str| summary.counter_total(c);
+        assert_eq!(counter("backend.staged.attempts"), Some(s + 1), "{name}");
+        assert_eq!(
+            summary.span("phase.ilp.stage").map(|sp| sp.count as u64),
+            Some(s + 1),
+            "{name}"
+        );
+        // Exhausted rungs publish nothing; the accepted one publishes its
+        // stage once (no downstream rejection on these programs).
+        assert_eq!(counter("backend.staged.stage"), Some(s), "{name}");
+        assert_eq!(counter("backend.staged.finish_failed"), None, "{name}");
+        assert_eq!(
+            summary.sample("backend.staged.gap").map(|g| g.count),
+            Some(1)
+        );
+
+        let backoff_ms: Vec<f64> = memory
+            .events()
+            .iter()
+            .filter(|e| e.name == "backend.staged.backoff_ms")
+            .map(|e| match e.kind {
+                EventKind::Sample { value } => value,
+                other => panic!("{name}: backoff is a sample, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            backoff_ms,
+            [50.0, 100.0, 200.0][..usize::from(q.stage.min(3))],
+            "{name}"
+        );
     }
 }

@@ -54,8 +54,8 @@ pub use nova_obs::{
     Event, EventKind, JsonLinesRecorder, MemoryRecorder, Obs, Recorder, Summary, TeeRecorder,
 };
 
-/// Retention budget for each of a session's three maps (whole-image
-/// cache, allocation cache, warm-start hint pool). The default
+/// Retention budget for each of a session's two maps (whole-image
+/// cache, allocation cache). The default
 /// (`0` on both axes) is unbounded — the historical behavior, and what
 /// keeps short-lived CI streams' counter algebra exact. A long-lived
 /// service sets one or both axes; the session then evicts

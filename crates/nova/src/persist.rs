@@ -2,11 +2,11 @@
 //! [`CompileConfigBuilder::persist_dir`](crate::CompileConfigBuilder::persist_dir).
 //!
 //! A session that solves a MILP bank allocation writes the *decision*
-//! half of the result — the decoded [`Assignment`], its objective, its
-//! [`AllocQuality`] record, and the raw solution vector — to one file
-//! per allocation-cache key. A later session (typically a restarted
-//! `nova-server`) with the same configuration re-derives the same key,
-//! loads the assignment, and rebuilds everything else deterministically
+//! half of the result — the decoded [`Assignment`], its objective and
+//! its [`AllocQuality`] record — to one file per allocation-cache key. A
+//! later session (typically a restarted `nova-server`) with the same
+//! configuration re-derives the same key, loads the assignment, and
+//! rebuilds everything else deterministically
 //! ([`nova_backend::readopt_assignment_with`]), skipping the solve: warm
 //! restarts are bit-identical to cold compiles and pay only the cheap
 //! phases.
@@ -43,14 +43,13 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"NOVACHE1";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The persisted slice of a solved allocation.
 pub(crate) struct DiskEntry {
     pub objective: f64,
     pub quality: AllocQuality,
     pub asg: Assignment,
-    pub values: Option<Vec<f64>>,
 }
 
 /// Outcome of one disk lookup, mirroring the
@@ -200,28 +199,21 @@ fn encode_payload(e: &DiskEntry) -> Vec<u8> {
 
     put_u64(&mut out, e.asg.n_moves as u64);
     put_u64(&mut out, e.asg.n_spills as u64);
-
-    match &e.values {
-        None => put_u8(&mut out, 0),
-        Some(vs) => {
-            put_u8(&mut out, 1);
-            put_u64(&mut out, vs.len() as u64);
-            for v in vs {
-                put_f64(&mut out, *v);
-            }
-        }
-    }
     out
 }
 
 fn encode(e: &DiskEntry) -> Vec<u8> {
-    let payload = encode_payload(e);
+    frame(&encode_payload(e))
+}
+
+/// Wrap a payload in the header that names its length and checksum.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 28);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a(&payload));
-    out.extend_from_slice(&payload);
+    put_u64(&mut out, fnv1a(payload));
+    out.extend_from_slice(payload);
     out
 }
 
@@ -339,19 +331,6 @@ fn decode(bytes: &[u8]) -> Option<DiskEntry> {
 
     let n_moves = usize::try_from(c.u64()?).ok()?;
     let n_spills = usize::try_from(c.u64()?).ok()?;
-
-    let values = match c.u8()? {
-        0 => None,
-        1 => {
-            let n = c.len(8)?;
-            let mut vs = Vec::with_capacity(n);
-            for _ in 0..n {
-                vs.push(c.f64()?);
-            }
-            Some(vs)
-        }
-        _ => return None,
-    };
     if c.at != payload.len() {
         return None; // trailing garbage
     }
@@ -366,7 +345,6 @@ fn decode(bytes: &[u8]) -> Option<DiskEntry> {
             n_moves,
             n_spills,
         },
-        values,
     })
 }
 
@@ -400,7 +378,6 @@ mod tests {
                 n_moves: 1,
                 n_spills: 0,
             },
-            values: Some(vec![0.0, 1.0, 0.5]),
         }
     }
 
@@ -411,14 +388,6 @@ mod tests {
         assert_eq!(d.objective.to_bits(), e.objective.to_bits());
         assert_eq!(d.quality, e.quality);
         assert_eq!(d.asg, e.asg);
-        assert_eq!(
-            d.values
-                .as_deref()
-                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-            e.values
-                .as_deref()
-                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-        );
     }
 
     #[test]
@@ -451,5 +420,19 @@ mod tests {
         let mut bytes = encode(&entry());
         bytes.push(0);
         assert!(decode(&bytes).is_none());
+    }
+
+    #[test]
+    fn payload_ends_at_n_spills() {
+        // The payload's last field is `n_spills`; anything after it —
+        // here the empty `values` block version 1 appended — rejects even
+        // under a header whose length and checksum cover it.
+        let mut e = entry();
+        e.asg.n_spills = 0x0123_4567;
+        let mut payload = encode_payload(&e);
+        assert_eq!(payload[payload.len() - 8..], 0x0123_4567u64.to_le_bytes());
+        assert!(decode(&frame(&payload)).is_some());
+        payload.push(0);
+        assert!(decode(&frame(&payload)).is_none());
     }
 }

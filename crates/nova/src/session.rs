@@ -12,7 +12,7 @@
 //!    (0 hits in every gated baseline); they are not cached.
 //! 3. the **allocation cache** — (immediate-masked vprog fingerprint,
 //!    allocator config) → solved MILP artifacts, backed by the optional
-//!    on-disk cache and the warm-start hint pool.
+//!    on-disk cache.
 //!
 //! | edit kind            | re-runs                                   |
 //! |----------------------|-------------------------------------------|
@@ -30,10 +30,12 @@
 //! extraction/coloring/validation against the new program, which is
 //! bit-identical to what a cold solve would produce.
 //!
-//! When the structure fingerprint misses (e.g. a cost-knob config change
-//! invalidated the cache key), a previously solved raw solution vector
-//! for the same model structure is offered to the solver as a warm-start
-//! incumbent (see [`ilp::solve_milp_with`]).
+//! A session's configuration is fixed, so the allocation key is a function
+//! of the program alone and it is the *only* key on the allocation path:
+//! a structure that misses it has never been solved by this session (or
+//! its on-disk predecessor) and pays one full solve, started in exactly
+//! one place ([`Compiler::allocate_cached`]). Nothing is carried from one
+//! structure's solve to another's.
 //!
 //! Every image miss reaches exactly one allocation lookup unless a
 //! frontend phase fails first, so for a stream of well-formed programs
@@ -95,17 +97,13 @@ impl HitMiss {
 const OUTPUT_COUNTERS: [&str; 2] = ["session.cache.output.hit", "session.cache.output.miss"];
 const ALLOC_COUNTERS: [&str; 2] = ["session.cache.alloc.hit", "session.cache.alloc.miss"];
 
-/// Shared mutable state of one session: the two caches, the MILP
-/// warm-start pool, the optional on-disk allocation cache, and the
-/// counters. Each map tracks LRU recency so a [`crate::CacheBudget`] can
+/// Shared mutable state of one session: the two caches, the optional
+/// on-disk allocation cache, and the counters. Each map tracks LRU recency so a [`crate::CacheBudget`] can
 /// bound retention.
 #[derive(Default)]
 struct SessionState {
     /// (immediate-masked vprog fp, allocator config) → solved artifacts.
     alloc: Mutex<LruMap<Arc<SolvedAllocation>>>,
-    /// (immediate-masked vprog fp, structure knobs) → raw solution vector
-    /// for warm-starting a solve whose cost knobs changed.
-    hints: Mutex<LruMap<Arc<Vec<f64>>>>,
     /// (token fp, full pipeline config) → finished compile (or failure).
     output: Mutex<LruMap<Result<Arc<CompileOutput>, CompileError>>>,
     /// The on-disk allocation cache, when persistence is configured.
@@ -113,7 +111,6 @@ struct SessionState {
     alloc_stats: HitMiss,
     output_stats: HitMiss,
     refinish_fallbacks: AtomicU64,
-    hint_offers: AtomicU64,
     evict_count: AtomicU64,
     evict_bytes: AtomicU64,
     disk_hits: AtomicU64,
@@ -122,8 +119,8 @@ struct SessionState {
 }
 
 /// A point-in-time snapshot of a session's cache counters: one
-/// (hits, misses) pair per cache, plus the fallback, hint, eviction and
-/// disk counters.
+/// (hits, misses) pair per cache, plus the fallback, eviction and disk
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Allocation cache hits (MILP solve skipped, re-finish only).
@@ -137,8 +134,6 @@ pub struct CacheStats {
     /// Allocation cache hits whose re-finish failed, forcing a fallback
     /// full solve (counted under `alloc_misses` as well).
     pub refinish_fallbacks: u64,
-    /// Cold solves that were offered a cached warm-start vector.
-    pub hint_offers: u64,
     /// Entries evicted from the session's caches under a
     /// [`crate::CacheBudget`] (zero when unbounded, the default).
     pub evict_count: u64,
@@ -199,11 +194,6 @@ pub struct Compiler {
     config: CompileConfig,
     /// Fingerprint of the allocator slice of the config.
     alloc_fp: u64,
-    /// Fingerprint of the allocator knobs that shape the MILP's variable
-    /// space (cost and solver knobs excluded): two configs with equal
-    /// structure fingerprints produce models over the same columns, so
-    /// solutions transfer between them as warm starts.
-    structure_fp: u64,
     /// Combined fingerprint of every config slice the pipeline reads.
     pipeline_fp: u64,
     state: Arc<SessionState>,
@@ -223,14 +213,13 @@ impl Compiler {
     /// for the session's lifetime (its fingerprints key every cache);
     /// use one session per configuration.
     pub fn new(config: CompileConfig) -> Self {
-        let (structure_fp, alloc_fp, pipeline_fp) = config_fingerprints(&config);
+        let (alloc_fp, pipeline_fp) = config_fingerprints(&config);
         // An uncreatable persistence directory silently disables the disk
         // cache: persistence accelerates restarts, it never gates them.
         let disk = config.persist_dir.as_deref().and_then(DiskCache::open);
         Compiler {
             config,
             alloc_fp,
-            structure_fp,
             pipeline_fp,
             state: Arc::new(SessionState {
                 disk,
@@ -255,7 +244,6 @@ impl Compiler {
             output_hits,
             output_misses,
             refinish_fallbacks: s.refinish_fallbacks.load(Ordering::Relaxed),
-            hint_offers: s.hint_offers.load(Ordering::Relaxed),
             evict_count: s.evict_count.load(Ordering::Relaxed),
             evict_bytes: s.evict_bytes.load(Ordering::Relaxed),
             disk_hits: s.disk_hits.load(Ordering::Relaxed),
@@ -386,8 +374,7 @@ impl Compiler {
     /// against this (structurally identical) program; on a miss the
     /// on-disk cache (if configured) is consulted and a persisted
     /// assignment is readopted — still no solve; only when both miss does
-    /// a full solve run, warm-started from the hint pool when a
-    /// compatible solution exists.
+    /// a full solve run.
     fn allocate_cached(
         &self,
         vprog: &Program<Temp>,
@@ -425,14 +412,13 @@ impl Compiler {
                         entry.asg,
                         entry.quality,
                         entry.objective,
-                        entry.values,
                         obs,
                     ) {
                         Ok((alloc, solved)) => {
                             state.disk_hits.fetch_add(1, Ordering::Relaxed);
                             obs.counter("session.cache.disk.hit", 1);
                             state.alloc_stats.record(obs, ALLOC_COUNTERS, true);
-                            self.remember_solved(alloc_key, masked_fp, solved, obs);
+                            self.remember_solved(alloc_key, solved, obs);
                             return Ok(alloc);
                         }
                         Err(_) => {
@@ -456,19 +442,8 @@ impl Compiler {
         }
         state.alloc_stats.record(obs, ALLOC_COUNTERS, false);
 
-        let hint_key = hash_parts(&[0x6869_6e74, masked_fp, self.structure_fp]);
-        let hint = state.hints.lock().unwrap().get(hint_key).cloned();
-        if hint.is_some() {
-            state.hint_offers.fetch_add(1, Ordering::Relaxed);
-            obs.counter("session.cache.hint_offered", 1);
-        }
-        let (alloc, solved) = allocate_solved_with(
-            vprog,
-            &self.config.alloc,
-            hint.as_deref().map(Vec::as_slice),
-            obs,
-        )
-        .map_err(alloc_error)?;
+        let (alloc, solved) =
+            allocate_solved_with(vprog, &self.config.alloc, obs).map_err(alloc_error)?;
         if let Some(disk) = &state.disk {
             disk.store(
                 alloc_key,
@@ -476,32 +451,17 @@ impl Compiler {
                     objective: solved.stats.objective,
                     quality: solved.quality,
                     asg: solved.asg.clone(),
-                    values: solved.values.clone(),
                 },
             );
         }
-        self.remember_solved(alloc_key, masked_fp, solved, obs);
+        self.remember_solved(alloc_key, solved, obs);
         Ok(alloc)
     }
 
-    /// Put a solved allocation into the in-memory caches: the solution
-    /// vector into the warm-start hint pool, the artifacts under the
-    /// allocation key.
-    fn remember_solved(&self, alloc_key: u64, masked_fp: u64, solved: SolvedAllocation, obs: &Obs) {
-        let state = &*self.state;
-        let hint_key = hash_parts(&[0x6869_6e74, masked_fp, self.structure_fp]);
-        if let Some(values) = &solved.values {
-            let weight = 64 + 8 * values.len() as u64;
-            self.insert_evicting(
-                &state.hints,
-                hint_key,
-                Arc::new(values.clone()),
-                weight,
-                obs,
-            );
-        }
+    /// Put a solved allocation into the in-memory allocation cache.
+    fn remember_solved(&self, alloc_key: u64, solved: SolvedAllocation, obs: &Obs) {
         let weight = weight_solved(&solved);
-        self.insert_evicting(&state.alloc, alloc_key, Arc::new(solved), weight, obs);
+        self.insert_evicting(&self.state.alloc, alloc_key, Arc::new(solved), weight, obs);
     }
 }
 
@@ -511,13 +471,12 @@ fn instr_count<R>(p: &Program<R>) -> u64 {
 }
 
 /// Estimated retained bytes of a cached [`SolvedAllocation`]: the decoded
-/// assignment and solution vector dominate, plus a flat charge for the
-/// facts and model bookkeeping.
+/// assignment dominates, plus a flat charge for the facts and model
+/// bookkeeping.
 fn weight_solved(s: &SolvedAllocation) -> u64 {
     let asg = 24 * (s.asg.before.len() + s.asg.after.len() + s.asg.colors.len()) as u64;
-    let values = 8 * s.values.as_ref().map_or(0, Vec::len) as u64;
     let facts = 48 * s.facts.exists.len() as u64;
-    4096 + asg + values + facts
+    4096 + asg + facts
 }
 
 /// Deterministic (fixed-key SipHash) combination of pre-hashed parts.
@@ -536,22 +495,18 @@ fn hash_parts(parts: &[u64]) -> u64 {
 /// (program, config) pair changes — old entries then miss cleanly.
 const KEY_VERSION: u64 = 1;
 
-/// The session's three config fingerprints, `(structure, alloc,
-/// pipeline)` — each extends the one before — hashed field by field from
-/// [`KEY_VERSION`].
+/// The session's two config fingerprints, `(alloc, pipeline)` — the
+/// second extends the first — hashed field by field from [`KEY_VERSION`].
 ///
 /// Every config struct is destructured without `..`, so a new field does
 /// not compile until someone decides which keys it belongs to. A field
 /// belongs to a key iff changing it can change the artifact stored under
 /// that key:
 ///
-/// * *structure* — the allocator knobs that shape the MILP's variable
-///   space; equal structure means solution vectors transfer as warm
-///   starts (the hint pool key);
-/// * *alloc* — structure plus the cost, search and fallback knobs: the
-///   allocation cache key, in memory and on disk;
+/// * *alloc* — every allocator knob (model shape, costs, search,
+///   fallback): the allocation cache key, in memory and on disk;
 /// * *pipeline* — alloc plus the optimizer knobs: the whole-image key.
-fn config_fingerprints(config: &CompileConfig) -> (u64, u64, u64) {
+fn config_fingerprints(config: &CompileConfig) -> (u64, u64) {
     let CompileConfig {
         opt: OptConfig {
             max_rounds,
@@ -589,11 +544,9 @@ fn config_fingerprints(config: &CompileConfig) -> (u64, u64, u64) {
         persist_dir: _,
     } = config;
 
-    let mut structure = DefaultHasher::new();
-    KEY_VERSION.hash(&mut structure);
-    (allow_spill, redundant_cuts, prune, k_a, k_b, spill_auto).hash(&mut structure);
-
-    let mut alloc = structure.clone();
+    let mut alloc = DefaultHasher::new();
+    KEY_VERSION.hash(&mut alloc);
+    (allow_spill, redundant_cuts, prune, k_a, k_b, spill_auto).hash(&mut alloc);
     let costs_and_tolerances = [
         bias,
         mv_cost,
@@ -613,7 +566,7 @@ fn config_fingerprints(config: &CompileConfig) -> (u64, u64, u64) {
     let mut pipeline = alloc.clone();
     (max_rounds, max_size, skip_opt).hash(&mut pipeline);
 
-    (structure.finish(), alloc.finish(), pipeline.finish())
+    (alloc.finish(), pipeline.finish())
 }
 
 /// Content hash of a token stream with spans dropped: the token kind,
@@ -855,16 +808,14 @@ mod tests {
         // moves.
         let budgeted = CompileConfig::builder().cache_budget(crate::CacheBudget::entries(1));
         assert_eq!(fps(budgeted), base);
-        // A search knob moves the alloc and image keys; the model's
-        // variable space (and so the hint-pool key) is unchanged.
-        let (structure, alloc, pipeline) = fps(CompileConfig::builder().solver_gap(0.0));
-        assert_eq!(structure, base.0);
-        assert_ne!(alloc, base.1);
-        assert_ne!(pipeline, base.2);
+        // A search knob moves the alloc and image keys.
+        let (alloc, pipeline) = fps(CompileConfig::builder().solver_gap(0.0));
+        assert_ne!(alloc, base.0);
+        assert_ne!(pipeline, base.1);
         // An optimizer knob moves only the image key.
-        let (structure, alloc, pipeline) = fps(CompileConfig::builder().skip_opt(true));
-        assert_eq!((structure, alloc), (base.0, base.1));
-        assert_ne!(pipeline, base.2);
+        let (alloc, pipeline) = fps(CompileConfig::builder().skip_opt(true));
+        assert_eq!(alloc, base.0);
+        assert_ne!(pipeline, base.1);
     }
 
     #[test]

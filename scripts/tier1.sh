@@ -5,8 +5,9 @@
 #                             check of the frozen benchmark/ package
 #                             against the product API
 #   scripts/tier1.sh --lint   also run rustfmt --check, clippy with
-#                             warnings denied, and the no-environment-reads
-#                             guard (mirrors CI's lint job)
+#                             warnings denied, and scripts/lint-guards.sh
+#                             (no environment reads, no unlisted
+#                             #[doc(hidden)] shim; mirrors CI's lint job)
 #   scripts/tier1.sh --smoke  also run every `bench` writer scenario at
 #                             its small fixed scale in release mode:
 #                             exits non-zero on a violated scenario
@@ -62,8 +63,7 @@ if [[ "$run_lint" == 1 ]]; then
     cargo fmt --check
     echo "== cargo clippy (warnings denied) =="
     cargo clippy --workspace --all-targets -- -D warnings
-    echo "== no env::var under a product crate's src/ =="
-    if grep -rn "env::var" crates/{ilp,ixp-machine,ixp-sim,nova,nova-backend,nova-cps,nova-frontend,nova-obs,nova-server,workloads}/src; then exit 1; fi
+    scripts/lint-guards.sh
 fi
 
 if [[ "$run_smoke" == 1 ]]; then

@@ -159,6 +159,73 @@ fn garbage_cache_file_is_a_clean_miss() {
     assert!(rebuilt.artifact_eq(&cold));
 }
 
+/// A directory left behind by the version-1 format (whose payload ended
+/// in a raw solution-vector block) is refused by version, recovered by a
+/// full solve, and healed to a version-2 file the next session hits.
+#[test]
+fn version_1_entry_is_rejected_and_healed() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    /// `magic ‖ version ‖ payload length ‖ FNV-1a(payload) ‖ payload`.
+    fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = b"NOVACHE1".to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    let dir = scratch_dir("v1");
+    let src = classifier(3, CLASSIFIER_RULES);
+    let cold = Compiler::new(cfg(Some(&dir)))
+        .compile_output(&src)
+        .expect("compiles");
+    let files = cache_files(&dir);
+    assert_eq!(files.len(), 1);
+    let v2 = std::fs::read(&files[0]).expect("read entry");
+    let payload = &v2[28..];
+    assert_eq!(v2, frame(2, payload), "the test knows the current framing");
+    // A version-2 payload ends at `n_spills`.
+    assert_eq!(
+        payload[payload.len() - 8..],
+        (cold.alloc_stats.spills as u64).to_le_bytes()
+    );
+
+    // The same entry as version 1 wrote it: a trailing `values` block
+    // (tag 1, length, little-endian f64s) under a version-1 header.
+    let mut v1_payload = payload.to_vec();
+    v1_payload.push(1);
+    v1_payload.extend_from_slice(&3u64.to_le_bytes());
+    for v in [0.0f64, 1.0, 0.5] {
+        v1_payload.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    std::fs::write(&files[0], frame(1, &v1_payload)).expect("write v1 entry");
+
+    let session = Compiler::new(cfg(Some(&dir)));
+    let rebuilt = session.compile_output(&src).expect("compiles");
+    let s = session.cache_stats();
+    assert_eq!(
+        (s.disk_rejects, s.disk_hits, s.disk_misses, s.alloc_misses),
+        (1, 0, 0, 1),
+        "exactly one reject, recovered by a full solve"
+    );
+    assert!(rebuilt.artifact_eq(&cold));
+    assert_eq!(
+        std::fs::read(&files[0]).expect("read healed entry"),
+        v2,
+        "the recovery solve rewrote the entry in the current format"
+    );
+
+    let healed = Compiler::new(cfg(Some(&dir)));
+    let again = healed.compile_output(&src).expect("compiles");
+    assert_eq!(healed.cache_stats().disk_hits, 1);
+    assert!(again.artifact_eq(&cold));
+}
+
 #[test]
 fn server_restart_warms_from_disk() {
     use nova_server::{CompileRequest, Server, ServerConfig};
