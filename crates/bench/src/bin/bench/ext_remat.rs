@@ -15,7 +15,7 @@
 //! generation.
 
 use bench::{compile, table, Benchmark};
-use ilp::{BranchConfig, Cmp, LinExpr, Problem};
+use ilp::{BranchConfig, Cmp, Problem};
 use ixp_machine::{timing, Instr};
 use nova::CompileConfig;
 use std::collections::HashMap;
@@ -68,6 +68,7 @@ pub fn run() {
         // The ILP: resident[c] = keep c in a register for the whole loop;
         // derived[(i,j)] = re-derive c_j from resident c_i (1 cycle).
         let mut p = Problem::minimize();
+        let (g_needs, g_cover, g_budget) = (p.group("needs"), p.group("cover"), p.group("budget"));
         let n = consts.len();
         let resident: Vec<_> = (0..n).map(|i| p.add_binary(format!("res{i}"))).collect();
         let mut derive_vars: Vec<(usize, usize, ilp::Var)> = Vec::new();
@@ -76,18 +77,18 @@ pub fn run() {
                 if i != j && derivable(consts[i].0, consts[j].0) {
                     let v = p.add_binary(format!("der{i}_{j}"));
                     // Deriving from c_i requires c_i resident.
-                    p.add_constraint(
-                        format!("needs{i}_{j}"),
-                        LinExpr::from(v) - resident[i],
-                        Cmp::Le,
-                        0.0,
-                    );
+                    p.row(g_needs)
+                        .term(v, 1.0)
+                        .term(resident[i], -1.0)
+                        .finish(Cmp::Le, 0.0);
                     derive_vars.push((i, j, v));
                 }
             }
         }
-        // Each constant is loaded, resident, or derived.
-        let mut obj = LinExpr::new();
+        // Each constant is loaded, resident, or derived. The objective is
+        // the load cycles left after residency and derivation, less the
+        // `baseline` every constant pays when it is simply loaded.
+        let mut baseline = 0.0;
         for j in 0..n {
             let (val, uses) = consts[j];
             let load_cost = timing::issue_cycles(&Instr::Imm {
@@ -100,36 +101,33 @@ pub fn run() {
                 .map(|(_, _, v)| *v)
                 .collect();
             // covered_j = resident_j + sum(derive into j) <= 1
-            let covered = LinExpr::from(resident[j]) + LinExpr::sum(derives.iter().copied());
-            p.add_constraint(format!("cover{j}"), covered.clone(), Cmp::Le, 1.0);
+            {
+                let mut covered = p.row(g_cover);
+                covered.term(resident[j], 1.0);
+                for &d in &derives {
+                    covered.term(d, 1.0);
+                }
+                covered.finish(Cmp::Le, 1.0);
+            }
             // Cost: per use, full load if uncovered; 1 cycle if derived;
             // free if resident (one setup load amortized over the loop).
             let full = uses as f64 * load_cost;
-            obj += LinExpr::constant(full);
-            obj += LinExpr::from(resident[j]) * (-full + 0.01);
-            for d in &derives {
-                obj += LinExpr::from(*d) * (-(full - uses as f64) + 0.005);
+            baseline += full;
+            p.objective_term(resident[j], -full + 0.01);
+            for &d in &derives {
+                p.objective_term(d, -(full - uses as f64) + 0.005);
             }
         }
         // Register budget.
-        p.add_constraint(
-            "budget",
-            LinExpr::sum(resident.iter().copied()),
-            Cmp::Le,
-            spare as f64,
-        );
-        p.set_objective(obj.clone());
-        let baseline: f64 = consts
-            .iter()
-            .map(|(val, uses)| {
-                *uses as f64
-                    * timing::issue_cycles(&Instr::Imm {
-                        dst: ixp_machine::PhysReg::new(ixp_machine::Bank::A, 0),
-                        val: *val,
-                    }) as f64
-            })
-            .sum();
+        {
+            let mut budget = p.row(g_budget);
+            for &r in &resident {
+                budget.term(r, 1.0);
+            }
+            budget.finish(Cmp::Le, spare as f64);
+        }
         let sol = ilp::solve_milp(&p, &BranchConfig::default()).expect("remat model solves");
+        let after = baseline + sol.objective;
         let n_res = resident
             .iter()
             .filter(|v| sol.values[v.index()] > 0.5)
@@ -145,11 +143,8 @@ pub fn run() {
             n_res.to_string(),
             n_der.to_string(),
             format!("{baseline:.0}"),
-            format!("{:.0}", sol.objective),
-            format!(
-                "{:.0}%",
-                100.0 * (baseline - sol.objective) / baseline.max(1.0)
-            ),
+            format!("{after:.0}"),
+            format!("{:.0}%", 100.0 * (baseline - after) / baseline.max(1.0)),
         ]);
     }
     println!(

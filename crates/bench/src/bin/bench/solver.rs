@@ -95,7 +95,6 @@ fn solve_stats(st: &nova::AllocStats) -> Vec<(&'static str, Json)> {
         ("nodes", Json::int(s.nodes)),
         ("pivots", Json::int(s.simplex_iterations)),
         ("pivots_per_sec", Json::Num(s.pivots_per_sec())),
-        ("kernel", Json::str(s.kernel.clone())),
         ("refactorizations", Json::int(s.refactorizations)),
         ("eta_pivots", Json::int(s.eta_pivots)),
         ("lu_fill_nnz", Json::int(s.lu_fill_nnz)),

@@ -18,8 +18,8 @@
 //! * **lazy rows** — constraints marked lazy start outside the working LP
 //!   and are activated only when some LP (or incumbent candidate) violates
 //!   them. Interference and spare-register rows are almost always slack,
-//!   so the working LP stays small — which is what keeps the dense-inverse
-//!   simplex fast.
+//!   so the working LP stays small — fewer rows in every basis
+//!   factorization and every pricing pass.
 //!
 //! **Determinism.** The search runs on the calling thread and visits nodes
 //! in one fixed order, so two solves of the same problem are identical in
@@ -32,7 +32,7 @@
 
 use crate::presolve::presolve;
 use crate::problem::{Problem, Sense, VarKind};
-use crate::simplex::{KernelKind, KernelStats, LpError, LpSolution, Simplex};
+use crate::simplex::{KernelStats, LpError, LpSolution, Simplex};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -69,10 +69,6 @@ pub struct BranchConfig {
     pub fathom_abs: f64,
     /// Relative part of the fathoming tolerance (see `fathom_abs`).
     pub fathom_rel: f64,
-    /// Simplex basis kernel for every LP workspace of the solve. `None`
-    /// means the sparse LU default; the dense kernel is the differential
-    /// tests' reference and nothing selects it from the environment.
-    pub kernel: Option<KernelKind>,
     /// Run the full [`crate::presolve`] reduction (singletons, bound
     /// tightening, substitution, domination) before the tree search.
     /// Disabling it keeps every row in the model — useful for differential
@@ -93,7 +89,6 @@ impl Default for BranchConfig {
             int_tol: 1e-6,
             fathom_abs: 2e-5,
             fathom_rel: 1e-9,
-            kernel: None,
             presolve: true,
             cuts: true,
         }
@@ -101,14 +96,6 @@ impl Default for BranchConfig {
 }
 
 impl BranchConfig {
-    /// Builder-style basis-kernel override (`None` restores the sparse
-    /// LU default).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Option<KernelKind>) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Builder-style presolve toggle.
     #[must_use]
     pub fn with_presolve(mut self, presolve: bool) -> Self {
@@ -121,12 +108,6 @@ impl BranchConfig {
     pub fn with_cuts(mut self, cuts: bool) -> Self {
         self.cuts = cuts;
         self
-    }
-
-    /// The simplex kernel a solve will actually use (pure: no
-    /// environment reads).
-    pub fn effective_kernel(&self) -> KernelKind {
-        self.kernel.unwrap_or(KernelKind::Sparse)
     }
 }
 
@@ -174,8 +155,8 @@ pub struct MilpSolution {
     pub stats: SolveStats,
 }
 
-/// Search statistics, reported by the Figure-7 harness and the
-/// `perf_trajectory` bench.
+/// Search statistics, reported by the Figure-7 table (`bench fig7`) and
+/// `bench solver`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveStats {
     /// Objective of the root LP relaxation (after lazy activation).
@@ -202,10 +183,7 @@ pub struct SolveStats {
     pub warm_hits: usize,
     /// Node LPs (root excluded) that needed a cold two-phase solve.
     pub warm_misses: usize,
-    /// Basis kernel name ("sparse" or "dense").
-    pub kernel: String,
-    /// LU factorizations (cold starts + periodic rebuilds; zero on the
-    /// dense kernel).
+    /// LU factorizations (cold starts + periodic rebuilds).
     pub refactorizations: usize,
     /// Eta matrices appended to basis factorizations (one per pivot on a
     /// sparse workspace).
@@ -699,9 +677,7 @@ fn solve_rounded_inner(
         .filter(|(_, d)| d.kind == VarKind::Integer)
         .map(|(i, _)| i)
         .collect();
-    let kernel = config.effective_kernel();
-    stats.kernel = kernel.as_str().to_string();
-    let mut simplex = Simplex::with_rows_kernel(work, Some(&pre.core), kernel);
+    let mut simplex = Simplex::with_rows(work, Some(&pre.core));
     simplex.set_deadline(deadline);
     let mut lazy = pre.lazy.clone();
     let root_start = Instant::now();
@@ -821,15 +797,10 @@ fn solve_milp_inner(
         .filter(|(_, d)| d.kind == VarKind::Integer)
         .map(|(i, _)| i)
         .collect();
-    let mut obj_coeff: Vec<f64> = vec![0.0; work.vars.len()];
-    for &(v, c) in &work.objective.terms {
-        obj_coeff[v.index()] += c.abs();
-    }
+    let obj_coeff: Vec<f64> = work.objective.iter().map(|c| c.abs()).collect();
 
     // ---- root relaxation on the core rows, activating lazy rows ----
-    let kernel = config.effective_kernel();
-    stats.kernel = kernel.as_str().to_string();
-    let mut simplex = Simplex::with_rows_kernel(work, Some(core), kernel);
+    let mut simplex = Simplex::with_rows(work, Some(core));
     simplex.set_deadline(deadline);
 
     let root_start = Instant::now();
@@ -983,8 +954,8 @@ fn round_heuristic(problem: &Problem, x: &[f64], tol: f64) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::LinExpr;
-    use crate::problem::Cmp;
+    use crate::problem::testing::{objective, row};
+    use crate::problem::{Cmp, Var};
 
     fn cfg() -> BranchConfig {
         BranchConfig::default()
@@ -996,8 +967,14 @@ mod tests {
         let x1 = p.add_binary("x1");
         let x2 = p.add_binary("x2");
         let x3 = p.add_binary("x3");
-        p.add_constraint("w", 3.0 * x1 + 4.0 * x2 + 2.0 * x3, Cmp::Le, 6.0);
-        p.set_objective(10.0 * x1 + 13.0 * x2 + 7.0 * x3);
+        row(
+            &mut p,
+            &[(x1, 3.0), (x2, 4.0), (x3, 2.0)],
+            Cmp::Le,
+            6.0,
+            false,
+        );
+        objective(&mut p, &[(x1, 10.0), (x2, 13.0), (x3, 7.0)]);
         let s = solve_milp(&p, &cfg()).unwrap();
         assert!((s.objective - 20.0).abs() < 1e-5, "got {}", s.objective);
         assert!(s.stats.proven_optimal);
@@ -1007,8 +984,8 @@ mod tests {
     fn infeasible_integer() {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
-        p.add_constraint("c", 2.0 * x, Cmp::Eq, 1.0);
-        p.set_objective(LinExpr::from(x));
+        row(&mut p, &[(x, 2.0)], Cmp::Eq, 1.0, false);
+        objective(&mut p, &[(x, 1.0)]);
         let err = solve_milp(&p, &cfg()).unwrap_err();
         assert_eq!(err, MilpError::Infeasible);
     }
@@ -1017,7 +994,7 @@ mod tests {
     fn lp_infeasible_detected() {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
-        p.add_constraint("c", LinExpr::from(x), Cmp::Ge, 2.0);
+        row(&mut p, &[(x, 1.0)], Cmp::Ge, 2.0, false);
         assert_eq!(solve_milp(&p, &cfg()).unwrap_err(), MilpError::Infeasible);
     }
 
@@ -1026,9 +1003,9 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
         let y = p.add_binary("y");
-        p.add_constraint("fix", LinExpr::from(x), Cmp::Eq, 1.0);
-        p.add_constraint("cap", LinExpr::from(x) + y, Cmp::Le, 1.0);
-        p.set_objective(-1.0 * x - 1.0 * y);
+        row(&mut p, &[(x, 1.0)], Cmp::Eq, 1.0, false);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0, false);
+        objective(&mut p, &[(x, -1.0), (y, -1.0)]);
         let s = solve_milp(&p, &cfg()).unwrap();
         // The full presolve fixes x=1 and then y=0 by substitution, so both
         // rows leave the model.
@@ -1044,8 +1021,8 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
         let y = p.add_binary("y");
-        p.add_lazy_constraint("cap", LinExpr::from(x) + y, Cmp::Le, 1.0);
-        p.set_objective(-1.0 * x - 1.0 * y);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0, true);
+        objective(&mut p, &[(x, -1.0), (y, -1.0)]);
         let s = solve_milp(&p, &cfg()).unwrap();
         assert!((s.objective + 1.0).abs() < 1e-6, "got {}", s.objective);
         assert_eq!(s.stats.activated_rows, 1);
@@ -1053,42 +1030,46 @@ mod tests {
         // A lazy row that is never binding stays out.
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
-        p.add_lazy_constraint("slack", LinExpr::from(x), Cmp::Le, 5.0);
-        p.set_objective(LinExpr::from(x));
+        row(&mut p, &[(x, 1.0)], Cmp::Le, 5.0, true);
+        objective(&mut p, &[(x, 1.0)]);
         let s = solve_milp(&p, &cfg()).unwrap();
         assert_eq!(s.stats.activated_rows, 0);
     }
 
-    #[test]
-    fn assignment_with_coupling() {
+    /// Four items into two bins of capacity two, one cost per (item, bin).
+    fn coupled_assignment() -> Problem {
         let costs = [[1.0, 9.0], [8.0, 2.0], [3.0, 3.0], [7.0, 1.0]];
         let mut p = Problem::minimize();
-        let mut v = vec![];
-        for i in 0..4 {
-            for b in 0..2 {
-                v.push(p.add_binary(format!("x{i}{b}")));
-            }
-        }
-        for i in 0..4 {
-            p.add_constraint(
-                format!("item{i}"),
-                LinExpr::from(v[i * 2]) + v[i * 2 + 1],
+        let v: Vec<[Var; 2]> = (0..4)
+            .map(|i| {
+                [
+                    p.add_binary(format!("x{i}0")),
+                    p.add_binary(format!("x{i}1")),
+                ]
+            })
+            .collect();
+        for item in &v {
+            row(
+                &mut p,
+                &[(item[0], 1.0), (item[1], 1.0)],
                 Cmp::Eq,
                 1.0,
+                false,
             );
         }
         for b in 0..2 {
-            let e = LinExpr::sum((0..4).map(|i| v[i * 2 + b]));
-            p.add_constraint(format!("bin{b}"), e, Cmp::Le, 2.0);
+            let bin: Vec<(Var, f64)> = v.iter().map(|item| (item[b], 1.0)).collect();
+            row(&mut p, &bin, Cmp::Le, 2.0, false);
         }
-        let mut obj = LinExpr::new();
-        for i in 0..4 {
-            for b in 0..2 {
-                obj += costs[i][b] * v[i * 2 + b];
-            }
+        for (item, cost) in v.iter().zip(costs) {
+            objective(&mut p, &[(item[0], cost[0]), (item[1], cost[1])]);
         }
-        p.set_objective(obj);
-        let s = solve_milp(&p, &cfg()).unwrap();
+        p
+    }
+
+    #[test]
+    fn assignment_with_coupling() {
+        let s = solve_milp(&coupled_assignment(), &cfg()).unwrap();
         assert!((s.objective - 7.0).abs() < 1e-5, "got {}", s.objective);
     }
 
@@ -1096,25 +1077,19 @@ mod tests {
         use rand::Rng;
         let mut p = Problem::minimize();
         let vars: Vec<_> = (0..n).map(|i| p.add_binary(format!("b{i}"))).collect();
-        for c in 0..5 {
-            let mut e = LinExpr::new();
-            for &v in &vars {
-                e.add_term(v, rng.gen_range(-2..=3) as f64);
-            }
+        for _ in 0..5 {
+            let terms: Vec<(Var, f64)> = vars
+                .iter()
+                .map(|&v| (v, rng.gen_range(-2..=3) as f64))
+                .collect();
             let sense = if rng.gen_bool(0.3) { Cmp::Eq } else { Cmp::Le };
             let rhs = rng.gen_range(0..=5) as f64;
             // Randomly mark some rows lazy: results must not change.
-            if rng.gen_bool(0.5) {
-                p.add_lazy_constraint(format!("c{c}"), e, sense, rhs);
-            } else {
-                p.add_constraint(format!("c{c}"), e, sense, rhs);
-            }
+            row(&mut p, &terms, sense, rhs, rng.gen_bool(0.5));
         }
-        let mut obj = LinExpr::new();
         for &v in &vars {
-            obj.add_term(v, rng.gen_range(-5..=5) as f64);
+            p.objective_term(v, rng.gen_range(-5..=5) as f64);
         }
-        p.set_objective(obj);
         p
     }
 
@@ -1229,34 +1204,7 @@ mod tests {
 
     #[test]
     fn warm_start_telemetry_populated() {
-        let costs = [[1.0, 9.0], [8.0, 2.0], [3.0, 3.0], [7.0, 1.0]];
-        let mut p = Problem::minimize();
-        let mut v = vec![];
-        for i in 0..4 {
-            for b in 0..2 {
-                v.push(p.add_binary(format!("x{i}{b}")));
-            }
-        }
-        for i in 0..4 {
-            p.add_constraint(
-                format!("item{i}"),
-                LinExpr::from(v[i * 2]) + v[i * 2 + 1],
-                Cmp::Eq,
-                1.0,
-            );
-        }
-        for b in 0..2 {
-            let e = LinExpr::sum((0..4).map(|i| v[i * 2 + b]));
-            p.add_constraint(format!("bin{b}"), e, Cmp::Le, 2.0);
-        }
-        let mut obj = LinExpr::new();
-        for i in 0..4 {
-            for b in 0..2 {
-                obj += costs[i][b] * v[i * 2 + b];
-            }
-        }
-        p.set_objective(obj);
-        let s = solve_milp(&p, &cfg()).unwrap();
+        let s = solve_milp(&coupled_assignment(), &cfg()).unwrap();
         if s.stats.nodes > 1 {
             // The search runs on the root's workspace, so every node LP
             // after the root should hit the warm path.
@@ -1325,7 +1273,7 @@ mod tests {
         c.time_limit = Some(Duration::from_secs(30));
         let mut p = Problem::maximize();
         let x = p.add_binary("x");
-        p.set_objective(LinExpr::from(x));
+        objective(&mut p, &[(x, 1.0)]);
         let s = solve_milp(&p, &c).unwrap();
         assert_eq!(s.objective, 1.0);
     }

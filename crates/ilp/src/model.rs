@@ -1,26 +1,16 @@
-//! AMPL-style modeling layer: indexed families of 0-1 variables,
-//! expression aliases, and named constraint groups.
+//! AMPL-style modeling layer: indexed families of 0-1 variables and named
+//! constraint groups.
 //!
 //! The paper (§5, Figure 2) describes its ILP through AMPL: an abstract
 //! model (`var Move {Exists, Banks, Banks} binary;`) instantiated with data
 //! sets. This module provides the same ergonomics in Rust: a [`Model`] owns
-//! a [`crate::Problem`] and hands out [`Family`] handles; `fam.var(&mut m,
-//! &[p, v, b1, b2])` creates (or looks up) the 0-1 variable `Move[p,v,b1,b2]`.
-//!
-//! Two AMPL idioms the allocator relies on:
-//!
-//! * **Aliases.** The paper's `Before`/`After` variables are "redundant
-//!   variables ... whose values are uniquely determined by the values of
-//!   other variables" (§6). [`Model::alias`] binds an index to a
-//!   [`LinExpr`] instead of a fresh column; constraint templates mentioning
-//!   the alias expand symbolically, shrinking the generated program without
-//!   changing its feasible set.
-//! * **Constraint groups.** Constraints carry a group name, and
-//!   [`Model::stats`] reports per-group counts — the data behind the
-//!   Figure-6/Figure-7 model-size tables.
+//! a [`crate::Problem`] and hands out [`Family`] handles;
+//! `m.binary(fam, &[p, v, b1, b2])` creates (or looks up) the 0-1 variable
+//! `Move[p,v,b1,b2]`. Rows stream through [`Model::row`] under a
+//! constraint group, and [`Model::stats`] reports per-group counts — the
+//! data behind the Figure-6/Figure-7 model-size tables.
 
-use crate::expr::{LinExpr, Var};
-use crate::problem::{Cmp, GroupId, Problem, RowBuilder};
+use crate::problem::{GroupId, Problem, RowBuilder, Var};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -62,20 +52,14 @@ impl std::fmt::Display for Key {
     }
 }
 
-/// Handle to a named family of indexed entries (variables or aliases).
+/// Handle to a named family of indexed variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Family(usize);
 
 #[derive(Debug)]
-enum Entry {
-    Column(Var),
-    Alias(LinExpr),
-}
-
-#[derive(Debug)]
 struct FamilyData {
     name: String,
-    entries: HashMap<Vec<Key>, Entry>,
+    columns: HashMap<Vec<Key>, Var>,
 }
 
 /// A model under construction. Wraps a [`Problem`] and provides indexed
@@ -84,13 +68,15 @@ struct FamilyData {
 /// # Examples
 ///
 /// ```
-/// use ilp::{Model, Cmp, LinExpr};
+/// use ilp::{Cmp, Model};
 /// let mut m = Model::minimize();
 /// let x = m.family("X");
 /// let a = m.binary(x, &["p1".into(), 0u32.into()]);
 /// let b = m.binary(x, &["p1".into(), 1u32.into()]);
-/// m.constrain("OnePlace", LinExpr::from(a) + b, Cmp::Eq, 1.0);
-/// m.add_objective(LinExpr::from(a) * 2.0 + LinExpr::from(b));
+/// let one_place = m.group("OnePlace");
+/// m.row(one_place).term(a, 1.0).term(b, 1.0).finish(Cmp::Eq, 1.0);
+/// m.objective_term(a, 2.0);
+/// m.objective_term(b, 1.0);
 /// let sol = m.solve(&Default::default()).unwrap();
 /// assert_eq!(sol.objective, 1.0);
 /// ```
@@ -98,7 +84,6 @@ struct FamilyData {
 pub struct Model {
     problem: Problem,
     families: Vec<FamilyData>,
-    objective: LinExpr,
 }
 
 /// Per-model statistics (sizes behind Figures 6 and 7).
@@ -122,7 +107,6 @@ impl Model {
         Model {
             problem: Problem::minimize(),
             families: Vec::new(),
-            objective: LinExpr::new(),
         }
     }
 
@@ -133,116 +117,42 @@ impl Model {
         }
         self.families.push(FamilyData {
             name: name.to_string(),
-            entries: HashMap::new(),
+            columns: HashMap::new(),
         });
         Family(self.families.len() - 1)
     }
 
     /// Create (or fetch) the 0-1 variable `fam[index]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fam[index]` was previously bound as an alias.
     pub fn binary(&mut self, fam: Family, index: &[Key]) -> Var {
-        let fd = &mut self.families[fam.0];
-        if let Some(e) = fd.entries.get(index) {
-            return match e {
-                Entry::Column(v) => *v,
-                Entry::Alias(_) => panic!(
-                    "{}[{}] is an alias, not a column",
-                    fd.name,
-                    fmt_index(index)
-                ),
-            };
-        }
-        let name = format!("{}[{}]", fd.name, fmt_index(index));
-        let v = self.problem.add_binary(name);
-        self.families[fam.0]
-            .entries
-            .insert(index.to_vec(), Entry::Column(v));
-        v
+        self.column(fam, index, |p, name| p.add_binary(name))
     }
 
     /// Create (or fetch) a continuous variable `fam[index]` within bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fam[index]` was previously bound as an alias.
     pub fn continuous(&mut self, fam: Family, index: &[Key], lower: f64, upper: f64) -> Var {
+        self.column(fam, index, |p, name| p.add_var(name, lower, upper))
+    }
+
+    fn column(
+        &mut self,
+        fam: Family,
+        index: &[Key],
+        add: impl FnOnce(&mut Problem, String) -> Var,
+    ) -> Var {
         let fd = &mut self.families[fam.0];
-        if let Some(e) = fd.entries.get(index) {
-            return match e {
-                Entry::Column(v) => *v,
-                Entry::Alias(_) => panic!(
-                    "{}[{}] is an alias, not a column",
-                    fd.name,
-                    fmt_index(index)
-                ),
-            };
+        if let Some(&v) = fd.columns.get(index) {
+            return v;
         }
-        let name = format!("{}[{}]", fd.name, fmt_index(index));
-        let v = self.problem.add_var(name, lower, upper);
-        self.families[fam.0]
-            .entries
-            .insert(index.to_vec(), Entry::Column(v));
+        let v = add(
+            &mut self.problem,
+            format!("{}[{}]", fd.name, fmt_index(index)),
+        );
+        fd.columns.insert(index.to_vec(), v);
         v
     }
 
-    /// Look up `fam[index]` without creating it.
-    pub fn lookup(&self, fam: Family, index: &[Key]) -> Option<LinExpr> {
-        self.families[fam.0].entries.get(index).map(|e| match e {
-            Entry::Column(v) => LinExpr::from(*v),
-            Entry::Alias(e) => e.clone(),
-        })
-    }
-
-    /// Bind `fam[index]` to an expression alias (the paper's "redundant
-    /// variable" elimination). Later [`Model::expr`] calls expand the alias.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry already exists.
-    pub fn alias(&mut self, fam: Family, index: &[Key], expr: LinExpr) {
-        let fd = &mut self.families[fam.0];
-        let prev = fd.entries.insert(index.to_vec(), Entry::Alias(expr));
-        assert!(
-            prev.is_none(),
-            "{}[{}] bound twice",
-            fd.name,
-            fmt_index(index)
-        );
-    }
-
-    /// The expression for `fam[index]`: the column itself, or the alias
-    /// expansion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry does not exist — the allocator's templates only
-    /// reference entries created by earlier phases, so a miss is a bug.
-    pub fn expr(&self, fam: Family, index: &[Key]) -> LinExpr {
-        self.lookup(fam, index).unwrap_or_else(|| {
-            panic!(
-                "{}[{}] not defined",
-                self.families[fam.0].name,
-                fmt_index(index)
-            )
-        })
-    }
-
-    /// Whether `fam[index]` exists (column or alias).
-    pub fn defined(&self, fam: Family, index: &[Key]) -> bool {
-        self.families[fam.0].entries.contains_key(index)
-    }
-
-    /// Iterate over the indices defined in a family.
-    pub fn indices(&self, fam: Family) -> impl Iterator<Item = &Vec<Key>> {
-        self.families[fam.0].entries.keys()
-    }
-
     /// Intern a constraint group name on the underlying problem. Rows
-    /// created under the returned id are counted and displayed per group
-    /// without allocating a name per constraint.
+    /// created under the returned id are counted per group without
+    /// allocating a name per constraint.
     pub fn group(&mut self, name: &str) -> GroupId {
         self.problem.group(name)
     }
@@ -253,44 +163,14 @@ impl Model {
         self.problem.row(g)
     }
 
-    /// Add a named constraint.
-    pub fn constrain(&mut self, group: &str, expr: LinExpr, cmp: Cmp, rhs: f64) {
-        let g = self.problem.group(group);
-        let mut b = self.problem.row(g);
-        for &(v, c) in &expr.terms {
-            b.term(v, c);
-        }
-        b.constant(expr.constant);
-        b.finish(cmp, rhs);
+    /// Add `coeff` to the objective coefficient of `v` (see
+    /// [`crate::Problem::objective_term`]).
+    pub fn objective_term(&mut self, v: Var, coeff: f64) {
+        self.problem.objective_term(v, coeff);
     }
 
-    /// Add a named lazy constraint (activated by the solver only when
-    /// violated; see [`crate::Problem::add_lazy_constraint`]).
-    pub fn constrain_lazy(&mut self, group: &str, expr: LinExpr, cmp: Cmp, rhs: f64) {
-        let g = self.problem.group(group);
-        let mut b = self.problem.row(g);
-        for &(v, c) in &expr.terms {
-            b.term(v, c);
-        }
-        b.constant(expr.constant);
-        b.finish_lazy(cmp, rhs);
-    }
-
-    /// Accumulate terms into the objective.
-    pub fn add_objective(&mut self, expr: LinExpr) {
-        self.objective += expr;
-    }
-
-    /// Finish and return the underlying problem (objective installed).
-    pub fn into_problem(mut self) -> Problem {
-        self.problem.set_objective(self.objective);
-        self.problem
-    }
-
-    /// Borrow the problem with the current objective installed.
-    pub fn problem(&mut self) -> &Problem {
-        let obj = self.objective.clone();
-        self.problem.set_objective(obj);
+    /// The underlying problem.
+    pub fn problem(&self) -> &Problem {
         &self.problem
     }
 
@@ -300,7 +180,7 @@ impl Model {
     ///
     /// Propagates [`crate::MilpError`] from the solver.
     pub fn solve(
-        &mut self,
+        &self,
         config: &crate::branch::BranchConfig,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
         self.solve_with(config, &nova_obs::Obs::noop())
@@ -313,11 +193,11 @@ impl Model {
     ///
     /// Propagates [`crate::MilpError`] from the solver.
     pub fn solve_with(
-        &mut self,
+        &self,
         config: &crate::branch::BranchConfig,
         obs: &nova_obs::Obs,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        crate::branch::solve_milp_with(self.problem(), config, obs)
+        crate::branch::solve_milp_with(&self.problem, config, obs)
     }
 
     /// Solve only the LP relaxation and round (see
@@ -327,29 +207,19 @@ impl Model {
     ///
     /// Propagates [`crate::MilpError`] from the solver.
     pub fn solve_rounded_with(
-        &mut self,
+        &self,
         config: &crate::branch::BranchConfig,
         obs: &nova_obs::Obs,
     ) -> Result<crate::branch::MilpSolution, crate::branch::MilpError> {
-        crate::branch::solve_rounded_with(self.problem(), config, obs)
+        crate::branch::solve_rounded_with(&self.problem, config, obs)
     }
 
-    /// Model-size statistics. Takes `&self`: the objective term count is
-    /// computed from a normalized copy without installing it on the problem.
+    /// Model-size statistics.
     pub fn stats(&self) -> ModelStats {
-        let mut obj = self.objective.clone();
-        obj.normalize();
         let mut by_family: Vec<(String, usize)> = self
             .families
             .iter()
-            .map(|f| {
-                let cols = f
-                    .entries
-                    .values()
-                    .filter(|e| matches!(e, Entry::Column(_)))
-                    .count();
-                (f.name.clone(), cols)
-            })
+            .map(|f| (f.name.clone(), f.columns.len()))
             .collect();
         by_family.sort();
         let mut by_group: Vec<(String, usize)> = self
@@ -362,15 +232,10 @@ impl Model {
         ModelStats {
             variables: self.problem.num_vars(),
             constraints: self.problem.num_constraints(),
-            objective_terms: obj.len(),
+            objective_terms: self.problem.objective.iter().filter(|&&c| c != 0.0).count(),
             variables_by_family: by_family,
             constraints_by_group: by_group,
         }
-    }
-
-    /// Value of `fam[index]` in a solution vector (aliases are evaluated).
-    pub fn value(&self, fam: Family, index: &[Key], values: &[f64]) -> f64 {
-        self.expr(fam, index).eval(|v| values[v.index()])
     }
 }
 
@@ -389,6 +254,7 @@ fn fmt_index(index: &[Key]) -> String {
 mod tests {
     use super::*;
     use crate::branch::BranchConfig;
+    use crate::problem::Cmp;
 
     #[test]
     fn families_dedupe_and_name() {
@@ -399,30 +265,7 @@ mod tests {
         assert_eq!(v1, v2);
         let f2 = m.family("Move");
         assert_eq!(f, f2);
-    }
-
-    #[test]
-    fn alias_expands_in_expr() {
-        let mut m = Model::minimize();
-        let mv = m.family("Move");
-        let before = m.family("Before");
-        let a = m.binary(mv, &[Key::Int(0)]);
-        let b = m.binary(mv, &[Key::Int(1)]);
-        m.alias(before, &[Key::Int(0)], LinExpr::from(a) + b);
-        let e = m.expr(before, &[Key::Int(0)]);
-        assert_eq!(e.len(), 2);
-        // Aliases do not create columns.
-        let stats = m.stats();
-        assert_eq!(stats.variables, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bound twice")]
-    fn alias_rebinding_panics() {
-        let mut m = Model::minimize();
-        let f = m.family("B");
-        m.alias(f, &[Key::Int(0)], LinExpr::constant(0.0));
-        m.alias(f, &[Key::Int(0)], LinExpr::constant(1.0));
+        assert_eq!(m.problem().var_data(v1).name, "Move[1,A]");
     }
 
     #[test]
@@ -431,11 +274,21 @@ mod tests {
         let mut m = Model::minimize();
         let x = m.family("X");
         let v: Vec<_> = (0..3u32).map(|i| m.binary(x, &[Key::Int(i)])).collect();
-        m.constrain("OneOf", LinExpr::sum(v.iter().copied()), Cmp::Eq, 1.0);
-        m.add_objective(3.0 * v[0] + 1.0 * v[1] + 2.0 * v[2]);
+        let g = m.group("OneOf");
+        {
+            let mut row = m.row(g);
+            for &vi in &v {
+                row.term(vi, 1.0);
+            }
+            row.finish(Cmp::Eq, 1.0);
+        }
+        for (&vi, cost) in v.iter().zip([3.0, 1.0, 2.0]) {
+            m.objective_term(vi, cost);
+        }
         let sol = m.solve(&BranchConfig::default()).unwrap();
         assert_eq!(sol.objective, 1.0);
-        assert_eq!(m.value(x, &[Key::Int(1)], &sol.values), 1.0);
+        assert_eq!(sol.values[v[1].index()], 1.0);
+        assert_eq!(m.stats().objective_terms, 3);
     }
 
     #[test]
@@ -444,12 +297,15 @@ mod tests {
         let x = m.family("X");
         let a = m.binary(x, &[Key::Int(0)]);
         let b = m.binary(x, &[Key::Int(1)]);
-        m.constrain("G", LinExpr::from(a), Cmp::Le, 1.0);
-        m.constrain("G", LinExpr::from(b), Cmp::Le, 1.0);
-        m.constrain("H", LinExpr::from(a) + b, Cmp::Ge, 1.0);
+        let g = m.group("G");
+        let h = m.group("H");
+        m.row(g).term(a, 1.0).finish(Cmp::Le, 1.0);
+        m.row(g).term(b, 1.0).finish(Cmp::Le, 1.0);
+        m.row(h).term(a, 1.0).term(b, 1.0).finish(Cmp::Ge, 1.0);
         let s = m.stats();
         assert_eq!(s.constraints, 3);
         assert!(s.constraints_by_group.contains(&("G".to_string(), 2)));
         assert!(s.constraints_by_group.contains(&("H".to_string(), 1)));
+        assert_eq!(s.variables_by_family, vec![("X".to_string(), 2)]);
     }
 }

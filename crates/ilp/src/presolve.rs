@@ -31,8 +31,7 @@
 //! Every pass iterates rows and terms in index order, so the reduction is
 //! deterministic regardless of hash-map iteration order.
 
-use crate::expr::Var;
-use crate::problem::{Cmp, Problem, VarKind};
+use crate::problem::{Cmp, Problem, Var, VarKind};
 
 /// Tolerance below which a bound improvement is not worth recording.
 const TIGHTEN_MIN: f64 = 1e-6;
@@ -600,15 +599,15 @@ fn dominated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::LinExpr;
+    use crate::problem::testing::row;
 
     #[test]
     fn singleton_rows_become_bounds() {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
         let y = p.add_binary("y");
-        p.add_constraint("fix", LinExpr::from(x), Cmp::Eq, 1.0);
-        p.add_constraint("cap", LinExpr::from(x) + y, Cmp::Le, 1.0);
+        row(&mut p, &[(x, 1.0)], Cmp::Eq, 1.0, false);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0, false);
         let r = presolve(&p, true).unwrap();
         // `fix` pins x=1; substitution turns `cap` into y <= 0, fixing y.
         assert_eq!(r.problem.num_constraints(), 0);
@@ -622,7 +621,7 @@ mod tests {
     fn infeasible_singleton_detected() {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
-        p.add_constraint("c", 2.0 * x, Cmp::Eq, 1.0);
+        row(&mut p, &[(x, 2.0)], Cmp::Eq, 1.0, false);
         assert_eq!(presolve(&p, false).unwrap_err(), Infeasible);
     }
 
@@ -631,8 +630,8 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
         let y = p.add_binary("y");
-        p.add_constraint("loose", LinExpr::from(x) + y, Cmp::Le, 5.0);
-        p.add_constraint("tight", LinExpr::from(x) + y, Cmp::Le, 1.0);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 5.0, false);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0, false);
         let r = presolve(&p, false).unwrap();
         assert_eq!(r.problem.num_constraints(), 1);
         assert!(r.stats.redundant_rows + r.stats.dominated_rows >= 1);
@@ -644,7 +643,7 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_binary("x");
         let y = p.add_binary("y");
-        p.add_constraint("force", LinExpr::from(x) + y, Cmp::Ge, 2.0);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Ge, 2.0, false);
         let r = presolve(&p, false).unwrap();
         assert_eq!(r.problem.var_data(x).lower, 1.0);
         assert_eq!(r.problem.var_data(y).lower, 1.0);
@@ -658,8 +657,8 @@ mod tests {
         let y = p.add_binary("y");
         let z = p.add_binary("z");
         // Same support and coefficients; the tighter rhs implies the looser.
-        p.add_constraint("strong", LinExpr::from(x) + y + z, Cmp::Le, 1.0);
-        p.add_constraint("weak", LinExpr::from(x) + y + z, Cmp::Le, 2.0);
+        row(&mut p, &[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 1.0, false);
+        row(&mut p, &[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 2.0, false);
         let r = presolve(&p, false).unwrap();
         assert_eq!(r.stats.dominated_rows, 1);
         assert_eq!(r.problem.num_constraints(), 1);
@@ -673,7 +672,13 @@ mod tests {
         let a = p.add_binary("a");
         let bb = p.add_binary("b");
         let c = p.add_binary("c");
-        p.add_constraint("knap", LinExpr::from(a) + bb + c, Cmp::Le, 2.5);
+        row(
+            &mut p,
+            &[(a, 1.0), (bb, 1.0), (c, 1.0)],
+            Cmp::Le,
+            2.5,
+            false,
+        );
         let r = presolve(&p, true).unwrap();
         assert_eq!(r.stats.cuts_added, 1);
         let cut = r.problem.row_view(r.problem.num_constraints() - 1);
@@ -683,7 +688,7 @@ mod tests {
         let mut q = Problem::minimize();
         let a = q.add_binary("a");
         let bb = q.add_binary("b");
-        q.add_constraint("knap", LinExpr::from(a) + bb, Cmp::Le, 1.0);
+        row(&mut q, &[(a, 1.0), (bb, 1.0)], Cmp::Le, 1.0, false);
         let r = presolve(&q, true).unwrap();
         assert_eq!(r.stats.cuts_added, 0);
     }
@@ -694,8 +699,8 @@ mod tests {
         let x = p.add_binary("x");
         let y = p.add_binary("y");
         let z = p.add_binary("z");
-        p.add_constraint("core", LinExpr::from(x) + y, Cmp::Le, 1.0);
-        p.add_lazy_constraint("lz", LinExpr::from(y) + z, Cmp::Le, 1.0);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0, false);
+        row(&mut p, &[(y, 1.0), (z, 1.0)], Cmp::Le, 1.0, true);
         let r = presolve(&p, false).unwrap();
         assert_eq!(r.core.len(), 1);
         assert_eq!(r.lazy.len(), 1);
@@ -707,9 +712,21 @@ mod tests {
         // Brute-force equivalence over all 0-1 points of a small model.
         let mut p = Problem::minimize();
         let v: Vec<Var> = (0..4).map(|i| p.add_binary(format!("v{i}"))).collect();
-        p.add_constraint("a", 2.0 * v[0] + v[1] + v[2], Cmp::Le, 2.5);
-        p.add_constraint("b", LinExpr::from(v[1]) + v[2] + v[3], Cmp::Ge, 1.0);
-        p.add_lazy_constraint("c", LinExpr::from(v[0]) + v[3], Cmp::Le, 1.0);
+        row(
+            &mut p,
+            &[(v[0], 2.0), (v[1], 1.0), (v[2], 1.0)],
+            Cmp::Le,
+            2.5,
+            false,
+        );
+        row(
+            &mut p,
+            &[(v[1], 1.0), (v[2], 1.0), (v[3], 1.0)],
+            Cmp::Ge,
+            1.0,
+            false,
+        );
+        row(&mut p, &[(v[0], 1.0), (v[3], 1.0)], Cmp::Le, 1.0, true);
         let r = presolve(&p, true).unwrap();
         for mask in 0..16u32 {
             let x: Vec<f64> = (0..4)

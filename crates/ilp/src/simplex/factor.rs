@@ -1,10 +1,10 @@
-//! Basis representations for the revised simplex: a sparse LU
+//! Basis representation for the revised simplex: a sparse LU
 //! factorization with Markowitz threshold pivoting plus a product-form
-//! eta file (the default), and the historical dense explicit inverse
-//! (kept as the differential-test reference, `KernelKind::Dense`).
+//! eta file. (The dense explicit inverse it replaced lives on in test
+//! builds as `dense.rs`, with the same interface.)
 //!
-//! Both kernels expose the same four operations, all in *basis position /
-//! row* index space (`0..m`):
+//! The kernel exposes these operations, all in *basis position / row*
+//! index space (`0..m`):
 //!
 //! * `ftran_col`  — w = B⁻¹ a for a sparse column `a`;
 //! * `ftran`      — x = B⁻¹ v for a dense right-hand side, in place;
@@ -486,6 +486,7 @@ impl SparseKernel {
         self.etas_since_refactor >= self.refactor_interval
     }
 
+    #[cfg(test)]
     pub fn set_refactor_interval(&mut self, k: usize) {
         self.refactor_interval = k.max(1);
     }
@@ -592,132 +593,9 @@ impl SparseKernel {
     }
 }
 
-/// Dense explicit-inverse kernel (the pre-sparse engine), kept for
-/// differential testing and as a fallback.
-pub(super) struct DenseKernel {
-    m: usize,
-    /// Row-major m×m basis inverse.
-    binv: Vec<f64>,
-}
-
-impl DenseKernel {
-    pub fn new() -> DenseKernel {
-        DenseKernel {
-            m: 0,
-            binv: Vec::new(),
-        }
-    }
-
-    /// Reset to the inverse of a diagonal basis (`cols[basis[p]]` has a
-    /// single entry on row `p`).
-    pub fn reset_diag(&mut self, m: usize, basis: &[usize], cols: &[Vec<(usize, f64)>]) {
-        self.m = m;
-        self.binv.clear();
-        self.binv.resize(m * m, 0.0);
-        for (p, &bp) in basis.iter().enumerate() {
-            let diag = cols[bp]
-                .iter()
-                .find(|&&(r, _)| r == p)
-                .map_or(1.0, |&(_, v)| v);
-            self.binv[p * m + p] = 1.0 / diag;
-        }
-    }
-
-    /// w = B⁻¹ a for a sparse column.
-    pub fn ftran_col(&self, col: &[(usize, f64)], out: &mut [f64]) {
-        let m = self.m;
-        for w in out[..m].iter_mut() {
-            *w = 0.0;
-        }
-        for &(i, a) in col {
-            for (r, o) in out[..m].iter_mut().enumerate() {
-                *o += self.binv[r * m + i] * a;
-            }
-        }
-    }
-
-    pub fn ftran(&self, v: &mut [f64], work: &mut [f64]) {
-        let m = self.m;
-        if m == 0 {
-            return;
-        }
-        for (w, row) in work[..m].iter_mut().zip(self.binv.chunks_exact(m)) {
-            *w = row.iter().zip(&v[..m]).map(|(a, b)| a * b).sum();
-        }
-        v[..m].copy_from_slice(&work[..m]);
-    }
-
-    pub fn btran(&self, v: &mut [f64], work: &mut [f64]) {
-        let m = self.m;
-        if m == 0 {
-            return;
-        }
-        for w in work[..m].iter_mut() {
-            *w = 0.0;
-        }
-        for (&c, row) in v[..m].iter().zip(self.binv.chunks_exact(m)) {
-            if c != 0.0 {
-                for (w, &r) in work[..m].iter_mut().zip(row) {
-                    *w += c * r;
-                }
-            }
-        }
-        v[..m].copy_from_slice(&work[..m]);
-    }
-
-    /// ρ = B⁻ᵀ e_r: row `r` of B⁻¹.
-    pub fn btran_unit(&self, r: usize, out: &mut [f64]) {
-        out[..self.m].copy_from_slice(&self.binv[r * self.m..(r + 1) * self.m]);
-    }
-
-    /// Product-form update after pivoting on `(row, w)`.
-    pub fn update(&mut self, row: usize, w: &[f64]) {
-        let m = self.m;
-        let pivot = w[row];
-        let inv_p = 1.0 / pivot;
-        for k in 0..m {
-            self.binv[row * m + k] *= inv_p;
-        }
-        let pr: Vec<f64> = self.binv[row * m..(row + 1) * m].to_vec();
-        for (i, &f) in w[..m].iter().enumerate() {
-            if i != row && f != 0.0 {
-                let dst = &mut self.binv[i * m..(i + 1) * m];
-                for (d, &p) in dst.iter_mut().zip(&pr) {
-                    *d -= f * p;
-                }
-            }
-        }
-    }
-
-    /// Block-triangular extension:
-    /// `B' = [[B, 0], [C, I]]  ⇒  B'⁻¹ = [[B⁻¹, 0], [-C B⁻¹, I]]`.
-    pub fn append(&mut self, c_rows: &[Vec<(u32, f64)>]) {
-        let m_old = self.m;
-        let m_new = m_old + c_rows.len();
-        let mut nb = vec![0.0f64; m_new * m_new];
-        for i in 0..m_old {
-            nb[i * m_new..i * m_new + m_old]
-                .copy_from_slice(&self.binv[i * m_old..(i + 1) * m_old]);
-        }
-        for (off, crow) in c_rows.iter().enumerate() {
-            let r = m_old + off;
-            for &(p, a) in crow {
-                let p = p as usize;
-                if p < m_old {
-                    for col in 0..m_old {
-                        nb[r * m_new + col] -= a * self.binv[p * m_old + col];
-                    }
-                }
-            }
-            nb[r * m_new + r] = 1.0;
-        }
-        self.binv = nb;
-        self.m = m_new;
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::dense::DenseKernel;
     use super::*;
 
     fn dense_of(cols: &[Vec<(usize, f64)>]) -> Vec<Vec<f64>> {
@@ -830,7 +708,7 @@ mod tests {
         let basis: Vec<usize> = (0..m).collect();
         let mut sk = SparseKernel::new(100);
         sk.refactor(m, &basis, &cols).unwrap();
-        let mut dk = DenseKernel::new();
+        let mut dk = DenseKernel::default();
         dk.reset_diag(m, &basis, &cols);
 
         // New column a = [1, 3, 0, 1] enters at position 1.
@@ -852,8 +730,7 @@ mod tests {
         let mut xs = b.clone();
         sk.ftran(&mut xs);
         let mut xd = b.clone();
-        let mut scratch = vec![0.0; m];
-        dk.ftran(&mut xd, &mut scratch);
+        dk.ftran(&mut xd);
         for i in 0..m {
             assert!(
                 (xs[i] - xd[i]).abs() < 1e-9,
@@ -865,7 +742,7 @@ mod tests {
         let mut ys = b.clone();
         sk.btran(&mut ys);
         let mut yd = b.clone();
-        dk.btran(&mut yd, &mut scratch);
+        dk.btran(&mut yd);
         for i in 0..m {
             assert!(
                 (ys[i] - yd[i]).abs() < 1e-9,
@@ -891,7 +768,7 @@ mod tests {
         let basis: Vec<usize> = (0..m).collect();
         let mut sk = SparseKernel::new(100);
         sk.refactor(m, &basis, &cols).unwrap();
-        let mut dk = DenseKernel::new();
+        let mut dk = DenseKernel::default();
         dk.reset_diag(m, &basis, &cols);
         // Pivot, then append two rows referencing basic positions.
         let a = vec![(0usize, 2.0), (2, 1.0)];
@@ -909,8 +786,7 @@ mod tests {
         let mut xs = b.clone();
         sk.ftran(&mut xs);
         let mut xd = b.clone();
-        let mut scratch = vec![0.0; 5];
-        dk.ftran(&mut xd, &mut scratch);
+        dk.ftran(&mut xd);
         for i in 0..5 {
             assert!(
                 (xs[i] - xd[i]).abs() < 1e-9,
@@ -922,7 +798,7 @@ mod tests {
         let mut ys = b.clone();
         sk.btran(&mut ys);
         let mut yd = b.clone();
-        dk.btran(&mut yd, &mut scratch);
+        dk.btran(&mut yd);
         for i in 0..5 {
             assert!(
                 (ys[i] - yd[i]).abs() < 1e-9,

@@ -25,15 +25,16 @@
 //! (accumulated error); each rebuild also recomputes the basic solution
 //! against `b` and the reduced costs from scratch. Reduced costs are
 //! otherwise maintained incrementally from the pivot row, so a pivot costs
-//! O(m + nnz(pivot row)) rather than a dense pricing pass. The dense
-//! inverse survives as [`KernelKind::Dense`], the reference the
-//! differential tests solve against (`tests/kernels.rs`).
+//! O(m + nnz(pivot row)) rather than a dense pricing pass. A release build
+//! has this one kernel; the dense explicit inverse it replaced survives
+//! only in test builds (`dense.rs`), as the reference the LP-level
+//! differential tests below solve against.
 
 mod factor;
 mod pricing;
 
 use crate::problem::{Cmp, Problem, Sense};
-use factor::{DenseKernel, SparseKernel};
+use factor::SparseKernel;
 use pricing::{DualPricing, PrimalPricing};
 use std::time::Instant;
 
@@ -91,35 +92,15 @@ pub struct LpSolution {
     pub iterations: usize,
 }
 
-/// Which basis representation a [`Simplex`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Sparse LU with Markowitz pivoting plus an eta file (the default).
-    Sparse,
-    /// Dense explicit product-form inverse (the pre-LU engine), kept as
-    /// the differential-test reference.
-    Dense,
-}
-
-impl KernelKind {
-    /// Stable lowercase name (used in benchmark JSON).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelKind::Sparse => "sparse",
-            KernelKind::Dense => "dense",
-        }
-    }
-}
-
 /// Cumulative factorization telemetry for a [`Simplex`] workspace.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct KernelStats {
+pub(crate) struct KernelStats {
     /// LU factorizations performed (cold starts + periodic rebuilds).
-    pub refactorizations: usize,
+    pub(crate) refactorizations: usize,
     /// Eta matrices appended to the factorization (one per basis pivot).
-    pub eta_pivots: usize,
+    pub(crate) eta_pivots: usize,
     /// Peak nonzero count of an LU factorization (fill-in measure).
-    pub lu_fill_nnz: usize,
+    pub(crate) lu_fill_nnz: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,36 +111,18 @@ enum ColState {
 }
 
 /// Basis kernel: the shared FTRAN/BTRAN/update/append interface over the
-/// sparse LU engine and the dense explicit inverse.
-enum KernelImpl {
-    Dense(DenseKernel),
+/// sparse LU engine (and, in test builds, the dense reference inverse).
+enum Kernel {
     Sparse(Box<SparseKernel>),
-}
-
-struct Kernel {
-    imp: KernelImpl,
-    scratch: Vec<f64>,
+    #[cfg(test)]
+    Dense(dense::DenseKernel),
 }
 
 impl Kernel {
-    fn new(kind: KernelKind) -> Kernel {
-        let imp = match kind {
-            KernelKind::Dense => KernelImpl::Dense(DenseKernel::new()),
-            KernelKind::Sparse => KernelImpl::Sparse(Box::new(SparseKernel::new(
-                factor::DEFAULT_REFACTOR_INTERVAL,
-            ))),
-        };
-        Kernel {
-            imp,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn kind(&self) -> KernelKind {
-        match self.imp {
-            KernelImpl::Dense(_) => KernelKind::Dense,
-            KernelImpl::Sparse(_) => KernelKind::Sparse,
-        }
+    fn sparse() -> Kernel {
+        Kernel::Sparse(Box::new(SparseKernel::new(
+            factor::DEFAULT_REFACTOR_INTERVAL,
+        )))
     }
 
     /// Install a fresh basis (cold start; `basis[p]` indexes the column of
@@ -171,12 +134,13 @@ impl Kernel {
         basis: &[usize],
         cols: &[Vec<(usize, f64)>],
     ) -> Result<(), LpError> {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => {
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => {
                 dk.reset_diag(m, basis, cols);
                 Ok(())
             }
-            KernelImpl::Sparse(sk) => sk
+            Kernel::Sparse(sk) => sk
                 .refactor(m, basis, cols)
                 .map_err(|_| LpError::IterationLimit),
         }
@@ -187,9 +151,10 @@ impl Kernel {
     /// singular factorization keeps the (valid) eta pipeline and retries
     /// after another interval.
     fn try_refactor(&mut self, m: usize, basis: &[usize], cols: &[Vec<(usize, f64)>]) -> bool {
-        match &mut self.imp {
-            KernelImpl::Dense(_) => false,
-            KernelImpl::Sparse(sk) => match sk.refactor(m, basis, cols) {
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(_) => false,
+            Kernel::Sparse(sk) => match sk.refactor(m, basis, cols) {
                 Ok(()) => true,
                 Err(_) => {
                     sk.defer_refactor();
@@ -200,17 +165,19 @@ impl Kernel {
     }
 
     fn should_refactor(&self) -> bool {
-        match &self.imp {
-            KernelImpl::Dense(_) => false,
-            KernelImpl::Sparse(sk) => sk.should_refactor(),
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(_) => false,
+            Kernel::Sparse(sk) => sk.should_refactor(),
         }
     }
 
     /// w = B⁻¹ a for a sparse column (duplicate row entries summed).
     fn ftran_col(&mut self, col: &[(usize, f64)], out: &mut [f64]) {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => dk.ftran_col(col, out),
-            KernelImpl::Sparse(sk) => {
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => dk.ftran_col(col, out),
+            Kernel::Sparse(sk) => {
                 for v in out.iter_mut() {
                     *v = 0.0;
                 }
@@ -224,31 +191,28 @@ impl Kernel {
 
     /// x = B⁻¹ v in place.
     fn ftran_dense(&mut self, v: &mut [f64]) {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => {
-                self.scratch.resize(v.len(), 0.0);
-                dk.ftran(v, &mut self.scratch);
-            }
-            KernelImpl::Sparse(sk) => sk.ftran(v),
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => dk.ftran(v),
+            Kernel::Sparse(sk) => sk.ftran(v),
         }
     }
 
     /// y = B⁻ᵀ v in place.
     fn btran_dense(&mut self, v: &mut [f64]) {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => {
-                self.scratch.resize(v.len(), 0.0);
-                dk.btran(v, &mut self.scratch);
-            }
-            KernelImpl::Sparse(sk) => sk.btran(v),
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => dk.btran(v),
+            Kernel::Sparse(sk) => sk.btran(v),
         }
     }
 
     /// ρ = B⁻ᵀ e_r (the pivot row of B⁻¹).
     fn btran_unit(&mut self, r: usize, out: &mut [f64]) {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => dk.btran_unit(r, out),
-            KernelImpl::Sparse(sk) => {
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => dk.btran_unit(r, out),
+            Kernel::Sparse(sk) => {
                 for v in out.iter_mut() {
                     *v = 0.0;
                 }
@@ -261,31 +225,35 @@ impl Kernel {
     /// Basis change at position `r`; `w` is the entering column's FTRAN
     /// image.
     fn update(&mut self, r: usize, w: &[f64]) {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => dk.update(r, w),
-            KernelImpl::Sparse(sk) => sk.update(r, w),
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => dk.update(r, w),
+            Kernel::Sparse(sk) => sk.update(r, w),
         }
     }
 
     /// Extend the basis for appended rows; `c_rows[k]` holds row k's
     /// coefficients under the current basic columns, by basis position.
     fn append(&mut self, c_rows: Vec<Vec<(u32, f64)>>) {
-        match &mut self.imp {
-            KernelImpl::Dense(dk) => dk.append(&c_rows),
-            KernelImpl::Sparse(sk) => sk.append(c_rows),
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(dk) => dk.append(&c_rows),
+            Kernel::Sparse(sk) => sk.append(c_rows),
         }
     }
 
+    #[cfg(test)]
     fn set_refactor_interval(&mut self, k: usize) {
-        if let KernelImpl::Sparse(sk) = &mut self.imp {
+        if let Kernel::Sparse(sk) = self {
             sk.set_refactor_interval(k);
         }
     }
 
     fn stats(&self) -> KernelStats {
-        match &self.imp {
-            KernelImpl::Dense(_) => KernelStats::default(),
-            KernelImpl::Sparse(sk) => KernelStats {
+        match self {
+            #[cfg(test)]
+            Kernel::Dense(_) => KernelStats::default(),
+            Kernel::Sparse(sk) => KernelStats {
                 refactorizations: sk.refactorizations,
                 eta_pivots: sk.total_etas,
                 lu_fill_nnz: sk.lu_fill_nnz,
@@ -314,7 +282,6 @@ pub struct Simplex {
     upper0: Vec<f64>,
     /// Phase-2 cost per column (minimization form).
     cost: Vec<f64>,
-    obj_constant: f64,
     obj_negate: bool,
     /// Artificial columns created by cold starts (zombified on reset).
     artificials: Vec<usize>,
@@ -325,7 +292,7 @@ pub struct Simplex {
     x: Vec<f64>,
     state: Vec<ColState>,
     basis: Vec<usize>,
-    /// Basis factorization kernel (sparse LU + etas, or dense inverse).
+    /// Basis factorization kernel (sparse LU + etas).
     kernel: Kernel,
     /// Reduced costs, maintained incrementally from the pivot row (valid
     /// for warm starts when `warm`).
@@ -366,12 +333,16 @@ impl Simplex {
     /// Build a workspace containing only the selected constraint indices
     /// (used by the lazy-row solver).
     pub fn with_rows(problem: &Problem, rows: Option<&[usize]>) -> Self {
-        Self::with_rows_kernel(problem, rows, KernelKind::Sparse)
+        Self::build(problem, rows, Kernel::sparse())
     }
 
-    /// Build a workspace with an explicit basis kernel choice (the dense
-    /// kernel is the differential tests' reference).
-    pub fn with_rows_kernel(problem: &Problem, rows: Option<&[usize]>, kind: KernelKind) -> Self {
+    /// [`Simplex::with_rows`] on the dense reference kernel.
+    #[cfg(test)]
+    pub(crate) fn with_rows_dense(problem: &Problem, rows: Option<&[usize]>) -> Self {
+        Self::build(problem, rows, Kernel::Dense(dense::DenseKernel::default()))
+    }
+
+    fn build(problem: &Problem, rows: Option<&[usize]>, kernel: Kernel) -> Self {
         let idx: Vec<usize> = match rows {
             Some(r) => r.to_vec(),
             None => (0..problem.num_constraints()).collect(),
@@ -404,8 +375,10 @@ impl Simplex {
         }
         let obj_negate = problem.sense == Sense::Maximize;
         let mut cost = vec![0.0; cols.len()];
-        for &(v, c) in &problem.objective.terms {
-            cost[v.index()] += if obj_negate { -c } else { c };
+        for (cj, &c) in cost.iter_mut().zip(&problem.objective) {
+            if c != 0.0 {
+                *cj = if obj_negate { -c } else { c };
+            }
         }
         Simplex {
             m,
@@ -417,7 +390,6 @@ impl Simplex {
             lower0,
             upper0,
             cost,
-            obj_constant: problem.objective.constant,
             obj_negate,
             artificials: Vec::new(),
             lower: Vec::new(),
@@ -425,7 +397,7 @@ impl Simplex {
             x: Vec::new(),
             state: Vec::new(),
             basis: Vec::new(),
-            kernel: Kernel::new(kind),
+            kernel,
             d: Vec::new(),
             ccur: Vec::new(),
             rhs_buf: Vec::new(),
@@ -448,19 +420,15 @@ impl Simplex {
         self.m
     }
 
-    /// Which basis kernel this workspace runs on.
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.kernel.kind()
-    }
-
     /// Cumulative factorization counters (zeros on the dense kernel).
-    pub fn kernel_stats(&self) -> KernelStats {
+    pub(crate) fn kernel_stats(&self) -> KernelStats {
         self.kernel.stats()
     }
 
-    /// Override the eta-file length that triggers refactorization (test
-    /// hook; no effect on the dense kernel).
-    pub fn set_refactor_interval(&mut self, etas: usize) {
+    /// Override the eta-file length that triggers refactorization (no
+    /// effect on the dense kernel).
+    #[cfg(test)]
+    pub(crate) fn set_refactor_interval(&mut self, etas: usize) {
         self.kernel.set_refactor_interval(etas);
     }
 
@@ -475,7 +443,7 @@ impl Simplex {
     /// Whether the last completed solve was served by the dual-simplex
     /// warm path (no cold two-phase fallback). Used for warm-start-hit
     /// telemetry by the branch-and-bound driver.
-    pub fn last_solve_was_warm(&self) -> bool {
+    pub(crate) fn last_solve_was_warm(&self) -> bool {
         self.last_warm
     }
 
@@ -746,15 +714,9 @@ impl Simplex {
 
     fn extract(&self, iterations: usize) -> LpSolution {
         let values: Vec<f64> = self.x[..self.n_struct].to_vec();
-        let objective = self.obj_constant
-            + values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    let c = self.cost[i];
-                    (if self.obj_negate { -c } else { c }) * v
-                })
-                .sum::<f64>();
+        let objective = values.iter().zip(&self.cost).fold(0.0, |acc, (&v, &c)| {
+            acc + (if self.obj_negate { -c } else { c }) * v
+        });
         LpSolution {
             objective,
             values,
@@ -1232,10 +1194,14 @@ fn initial_point(l: f64, u: f64) -> (f64, ColState) {
 }
 
 #[cfg(test)]
+mod dense;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::LinExpr;
-    use crate::problem::{Cmp, Problem};
+    use crate::problem::testing::{objective, row};
+    use crate::problem::{Cmp, Problem, Var};
+    use proptest::prelude::*;
 
     fn solve(p: &Problem) -> Result<LpSolution, LpError> {
         Simplex::new(p).solve()
@@ -1245,7 +1211,7 @@ mod tests {
     fn unconstrained_min_at_bounds() {
         let mut p = Problem::minimize();
         let x = p.add_var("x", 1.0, 5.0);
-        p.set_objective(LinExpr::from(x));
+        objective(&mut p, &[(x, 1.0)]);
         let s = solve(&p).unwrap();
         assert!((s.objective - 1.0).abs() < 1e-6);
     }
@@ -1255,8 +1221,8 @@ mod tests {
         let mut p = Problem::maximize();
         let x = p.add_var("x", 0.0, 3.0);
         let y = p.add_var("y", 0.0, 2.0);
-        p.add_constraint("cap", LinExpr::from(x) + y, Cmp::Le, 4.0);
-        p.set_objective(LinExpr::from(x) + y);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0, false);
+        objective(&mut p, &[(x, 1.0), (y, 1.0)]);
         let s = solve(&p).unwrap();
         assert!((s.objective - 4.0).abs() < 1e-6, "got {}", s.objective);
     }
@@ -1266,8 +1232,8 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", 0.0, 2.0);
         let y = p.add_var("y", 0.0, 5.0);
-        p.add_constraint("eq", LinExpr::from(x) + y, Cmp::Eq, 3.0);
-        p.set_objective(LinExpr::from(x) + 2.0 * y);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Eq, 3.0, false);
+        objective(&mut p, &[(x, 1.0), (y, 2.0)]);
         let s = solve(&p).unwrap();
         assert!((s.objective - 4.0).abs() < 1e-6, "got {}", s.objective);
         assert!((s.values[0] - 2.0).abs() < 1e-6);
@@ -1278,7 +1244,7 @@ mod tests {
     fn detects_infeasible() {
         let mut p = Problem::minimize();
         let x = p.add_var("x", 0.0, 1.0);
-        p.add_constraint("c", LinExpr::from(x), Cmp::Ge, 2.0);
+        row(&mut p, &[(x, 1.0)], Cmp::Ge, 2.0, false);
         assert_eq!(solve(&p).unwrap_err(), LpError::Infeasible);
     }
 
@@ -1286,7 +1252,7 @@ mod tests {
     fn detects_unbounded() {
         let mut p = Problem::maximize();
         let x = p.add_var("x", 0.0, f64::INFINITY);
-        p.set_objective(LinExpr::from(x));
+        objective(&mut p, &[(x, 1.0)]);
         assert_eq!(solve(&p).unwrap_err(), LpError::Unbounded);
     }
 
@@ -1295,8 +1261,8 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", 1.0, f64::INFINITY);
         let y = p.add_var("y", 0.0, f64::INFINITY);
-        p.add_constraint("c", LinExpr::from(x) + y, Cmp::Ge, 4.0);
-        p.set_objective(3.0 * x + 2.0 * y);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0, false);
+        objective(&mut p, &[(x, 3.0), (y, 2.0)]);
         let s = solve(&p).unwrap();
         assert!((s.objective - 9.0).abs() < 1e-6, "got {}", s.objective);
     }
@@ -1313,18 +1279,16 @@ mod tests {
                 .map(|i| p.add_var(format!("v{i}"), 0.0, 1.0))
                 .collect();
             for c in 0..4 {
-                let mut e = LinExpr::new();
-                for &v in &vars {
-                    e.add_term(v, rng.gen_range(-3..=3) as f64);
-                }
+                let terms: Vec<(Var, f64)> = vars
+                    .iter()
+                    .map(|&v| (v, rng.gen_range(-3..=3) as f64))
+                    .collect();
                 let sense = if c == 0 { Cmp::Eq } else { Cmp::Le };
-                p.add_constraint(format!("c{c}"), e, sense, rng.gen_range(0..=3) as f64);
+                row(&mut p, &terms, sense, rng.gen_range(0..=3) as f64, false);
             }
-            let mut obj = LinExpr::new();
             for &v in &vars {
-                obj.add_term(v, rng.gen_range(-5..=5) as f64);
+                p.objective_term(v, rng.gen_range(-5..=5) as f64);
             }
-            p.set_objective(obj);
             let mut s = Simplex::new(&p);
             if s.solve().is_err() {
                 continue;
@@ -1363,10 +1327,10 @@ mod tests {
         let x = p.add_binary("x");
         let y = p.add_binary("y");
         let z = p.add_binary("z");
-        p.set_objective(-1.0 * x - 1.0 * y - 1.0 * z);
-        p.add_constraint("c0", LinExpr::from(x) + y, Cmp::Le, 1.0);
-        p.add_constraint("c1", LinExpr::from(y) + z, Cmp::Le, 1.0);
-        p.add_constraint("c2", LinExpr::from(x) + z, Cmp::Le, 1.0);
+        objective(&mut p, &[(x, -1.0), (y, -1.0), (z, -1.0)]);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0, false);
+        row(&mut p, &[(y, 1.0), (z, 1.0)], Cmp::Le, 1.0, false);
+        row(&mut p, &[(x, 1.0), (z, 1.0)], Cmp::Le, 1.0, false);
 
         // Start with only c0.
         let mut s = Simplex::with_rows(&p, Some(&[0]));
@@ -1401,27 +1365,19 @@ mod tests {
     fn degenerate_assignment_polytope() {
         let mut p = Problem::minimize();
         let cost = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 1.0, 2.0]];
-        let mut vars = Vec::new();
-        for i in 0..3 {
-            for j in 0..3 {
-                vars.push(p.add_var(format!("x{i}{j}"), 0.0, 1.0));
-            }
-        }
-        for i in 0..3 {
-            let e = LinExpr::sum((0..3).map(|j| vars[i * 3 + j]));
-            p.add_constraint(format!("item{i}"), e, Cmp::Eq, 1.0);
+        let x: Vec<[Var; 3]> = (0..3)
+            .map(|i| [0, 1, 2].map(|j| p.add_var(format!("x{i}{j}"), 0.0, 1.0)))
+            .collect();
+        for item in &x {
+            row(&mut p, &item.map(|v| (v, 1.0)), Cmp::Eq, 1.0, false);
         }
         for j in 0..3 {
-            let e = LinExpr::sum((0..3).map(|i| vars[i * 3 + j]));
-            p.add_constraint(format!("slot{j}"), e, Cmp::Le, 1.0);
+            let slot: Vec<(Var, f64)> = x.iter().map(|item| (item[j], 1.0)).collect();
+            row(&mut p, &slot, Cmp::Le, 1.0, false);
         }
-        let mut obj = LinExpr::new();
-        for i in 0..3 {
-            for j in 0..3 {
-                obj += cost[i][j] * vars[i * 3 + j];
-            }
+        for (item, c) in x.iter().zip(cost) {
+            objective(&mut p, &[(item[0], c[0]), (item[1], c[1]), (item[2], c[2])]);
         }
-        p.set_objective(obj);
         let s = solve(&p).unwrap();
         assert!((s.objective - 6.0).abs() < 1e-6, "got {}", s.objective);
     }
@@ -1431,63 +1387,14 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", 0.0, 10.0);
         let y = p.add_var("y", 0.0, 10.0);
-        p.add_constraint("c", LinExpr::from(x) + y, Cmp::Ge, 5.0);
-        p.set_objective(LinExpr::from(x) + 2.0 * y);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Ge, 5.0, false);
+        objective(&mut p, &[(x, 1.0), (y, 2.0)]);
         let mut s = Simplex::new(&p);
         for _ in 0..5 {
             let sol = s.solve_with_bounds(&[0.0, 0.0], &[10.0, 10.0]).unwrap();
             assert!((sol.objective - 5.0).abs() < 1e-6);
             let sol = s.solve_with_bounds(&[0.0, 0.0], &[2.0, 10.0]).unwrap();
             assert!((sol.objective - 8.0).abs() < 1e-6, "got {}", sol.objective);
-        }
-    }
-
-    #[test]
-    fn dense_and_sparse_agree_on_random_lps() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(23);
-        for trial in 0..30 {
-            let n = 8;
-            let mut p = if trial % 2 == 0 {
-                Problem::minimize()
-            } else {
-                Problem::maximize()
-            };
-            let vars: Vec<_> = (0..n)
-                .map(|i| p.add_var(format!("v{i}"), 0.0, 3.0))
-                .collect();
-            for c in 0..5 {
-                let mut e = LinExpr::new();
-                for &v in &vars {
-                    if rng.gen_bool(0.5) {
-                        e.add_term(v, rng.gen_range(-3..=3) as f64);
-                    }
-                }
-                let sense = match c % 3 {
-                    0 => Cmp::Le,
-                    1 => Cmp::Ge,
-                    _ => Cmp::Eq,
-                };
-                p.add_constraint(format!("c{c}"), e, sense, rng.gen_range(-2..=4) as f64);
-            }
-            let mut obj = LinExpr::new();
-            for &v in &vars {
-                obj.add_term(v, rng.gen_range(-5..=5) as f64);
-            }
-            p.set_objective(obj);
-            let sparse = Simplex::with_rows_kernel(&p, None, KernelKind::Sparse).solve();
-            let dense = Simplex::with_rows_kernel(&p, None, KernelKind::Dense).solve();
-            match (sparse, dense) {
-                (Ok(a), Ok(b)) => assert!(
-                    (a.objective - b.objective).abs() < 1e-5,
-                    "trial {trial}: sparse {} vs dense {}",
-                    a.objective,
-                    b.objective
-                ),
-                (Err(ea), Err(eb)) => assert_eq!(ea, eb, "trial {trial}"),
-                (a, b) => panic!("trial {trial}: sparse {a:?} vs dense {b:?}"),
-            }
         }
     }
 
@@ -1499,12 +1406,12 @@ mod tests {
         let x = p.add_var("x", 0.0, 4.0);
         let y = p.add_var("y", 0.0, 4.0);
         let z = p.add_var("z", 0.0, 4.0);
-        p.add_constraint("c0", LinExpr::from(x) + y + z, Cmp::Ge, 5.0);
-        p.add_constraint("c1", 2.0 * x - y, Cmp::Le, 3.0);
-        p.add_constraint("c2", LinExpr::from(y) + 2.0 * z, Cmp::Le, 7.0);
-        p.set_objective(2.0 * x + y + 3.0 * z);
+        row(&mut p, &[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Ge, 5.0, false);
+        row(&mut p, &[(x, 2.0), (y, -1.0)], Cmp::Le, 3.0, false);
+        row(&mut p, &[(y, 1.0), (z, 2.0)], Cmp::Le, 7.0, false);
+        objective(&mut p, &[(x, 2.0), (y, 1.0), (z, 3.0)]);
         let reference = Simplex::new(&p).solve().unwrap();
-        let mut s = Simplex::with_rows_kernel(&p, None, KernelKind::Sparse);
+        let mut s = Simplex::new(&p);
         s.set_refactor_interval(1);
         let sol = s.solve().unwrap();
         assert!(
@@ -1514,5 +1421,170 @@ mod tests {
             reference.objective
         );
         assert!(s.kernel_stats().refactorizations > 1);
+    }
+
+    /// A random bounded LP: per row `(coeffs, cmp 0/1/2, rhs)`, and per
+    /// column `(lower, width)`.
+    #[derive(Debug, Clone)]
+    struct RandLp {
+        maximize: bool,
+        rows: Vec<(Vec<i8>, u8, i8)>,
+        obj: Vec<i8>,
+        bounds: Vec<(u8, u8)>,
+    }
+
+    fn lp_strategy() -> impl Strategy<Value = RandLp> {
+        (2usize..=8).prop_flat_map(|n| {
+            let row = (proptest::collection::vec(-3i8..=3, n), 0u8..3, -2i8..=8);
+            (
+                any::<bool>(),
+                proptest::collection::vec(row, 1..6),
+                proptest::collection::vec(-5i8..=5, n),
+                proptest::collection::vec((0u8..3, 1u8..4), n),
+            )
+                .prop_map(|(maximize, rows, obj, bounds)| RandLp {
+                    maximize,
+                    rows,
+                    obj,
+                    bounds,
+                })
+        })
+    }
+
+    fn build_lp(rp: &RandLp) -> Problem {
+        let mut p = if rp.maximize {
+            Problem::maximize()
+        } else {
+            Problem::minimize()
+        };
+        let vars: Vec<Var> = rp
+            .bounds
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, w))| p.add_var(format!("x{i}"), lo as f64, (lo + w) as f64))
+            .collect();
+        for (coeffs, cmp, rhs) in &rp.rows {
+            let terms: Vec<(Var, f64)> = vars
+                .iter()
+                .zip(coeffs)
+                .map(|(&v, &c)| (v, c as f64))
+                .collect();
+            let cmp = match cmp {
+                0 => Cmp::Le,
+                1 => Cmp::Ge,
+                _ => Cmp::Eq,
+            };
+            row(&mut p, &terms, cmp, *rhs as f64, false);
+        }
+        for (&v, &c) in vars.iter().zip(&rp.obj) {
+            p.objective_term(v, c as f64);
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Same random bounded LP through the sparse kernel and the dense
+        /// reference: identical verdicts and equal objectives.
+        #[test]
+        fn lp_dense_equals_sparse(rp in lp_strategy()) {
+            let p = build_lp(&rp);
+            let sparse = Simplex::new(&p).solve();
+            let dense = Simplex::with_rows_dense(&p, None).solve();
+            match (sparse, dense) {
+                (Ok(a), Ok(b)) => prop_assert!(
+                    (a.objective - b.objective).abs() < 1e-5,
+                    "sparse {} vs dense {}", a.objective, b.objective
+                ),
+                (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
+                (a, b) => prop_assert!(false, "sparse {a:?} vs dense {b:?}"),
+            }
+        }
+
+        /// Warm-started `resolve_with_bounds` on the sparse kernel tracks a
+        /// cold dense solve under random bound fixings — the eta file and
+        /// refactorizations must not drift the warm path away from the
+        /// reference answer.
+        #[test]
+        fn warm_sparse_tracks_cold_dense(
+            rp in lp_strategy(),
+            fixings in proptest::collection::vec((0usize..8, any::<bool>()), 0..16),
+        ) {
+            let p = build_lp(&rp);
+            let mut warm = Simplex::new(&p);
+            // Refactorize after every eta so the warm path crosses many
+            // factorization boundaries even on tiny problems.
+            warm.set_refactor_interval(1);
+            let n = p.num_vars();
+            let mut lo: Vec<f64> = rp.bounds.iter().map(|&(l, _)| l as f64).collect();
+            let mut hi: Vec<f64> = rp.bounds.iter().map(|&(l, w)| (l + w) as f64).collect();
+            if warm.solve_with_bounds(&lo, &hi).is_err() {
+                return Ok(());
+            }
+            for (j, up) in fixings {
+                let j = j % n;
+                let v = if up { hi[j] } else { lo[j] };
+                lo[j] = v;
+                hi[j] = v;
+                let w = warm.resolve_with_bounds(&lo, &hi);
+                let c = Simplex::with_rows_dense(&p, None).solve_with_bounds(&lo, &hi);
+                match (w, c) {
+                    (Ok(a), Ok(b)) => prop_assert!(
+                        (a.objective - b.objective).abs() < 1e-5,
+                        "warm sparse {} vs cold dense {}", a.objective, b.objective
+                    ),
+                    (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
+                    (a, b) => prop_assert!(false, "warm {a:?} vs cold {b:?}"),
+                }
+            }
+        }
+    }
+
+    /// `add_rows` immediately after a refactorization must preserve dual
+    /// feasibility: the appended block enters the factorization (not a
+    /// rebuilt inverse), and the following warm dual-simplex resolve has to
+    /// reach the same optimum as a cold solve of the full system.
+    #[test]
+    fn add_rows_after_refactorization_preserves_dual_feasibility() {
+        // max x + y + z  s.t.  x + y <= 4, y + z <= 4  (0 <= each <= 3)
+        let mut p = Problem::maximize();
+        let x = p.add_var("x", 0.0, 3.0);
+        let y = p.add_var("y", 0.0, 3.0);
+        let z = p.add_var("z", 0.0, 3.0);
+        row(&mut p, &[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0, false);
+        row(&mut p, &[(y, 1.0), (z, 1.0)], Cmp::Le, 4.0, false);
+        // Lazy cuts activated later via add_rows.
+        row(&mut p, &[(x, 1.0), (z, 1.0)], Cmp::Le, 3.0, true);
+        row(&mut p, &[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 5.0, true);
+        objective(&mut p, &[(x, 1.0), (y, 1.0), (z, 1.0)]);
+
+        let mut sx = Simplex::with_rows(&p, Some(&[0, 1]));
+        // Force a refactorization on every pivot so add_rows always appends
+        // to a freshly refactorized basis (the regression scenario).
+        sx.set_refactor_interval(1);
+        let lo = [0.0, 0.0, 0.0];
+        let hi = [3.0, 3.0, 3.0];
+        let relaxed = sx.solve_with_bounds(&lo, &hi).expect("relaxation solves");
+        assert!(relaxed.objective >= 6.0 - 1e-7, "relaxation too weak");
+
+        sx.add_rows(&p, &[2, 3]);
+        let tightened = sx.resolve_with_bounds(&lo, &hi).expect("warm resolve");
+        assert!(
+            sx.last_solve_was_warm(),
+            "resolve after add_rows fell back to a cold solve"
+        );
+
+        let cold = Simplex::with_rows_dense(&p, None)
+            .solve_with_bounds(&lo, &hi)
+            .expect("cold reference solves");
+        assert!(
+            (tightened.objective - cold.objective).abs() < 1e-7,
+            "warm {} vs cold {}",
+            tightened.objective,
+            cold.objective
+        );
+        // The warm answer must satisfy the activated cuts.
+        assert!(p.is_feasible(&tightened.values, 1e-7));
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! * `Move[p,v,b1,b2]` — temporary `v` moves from bank `b1` to `b2` at
 //!   point `p` (identity moves cost nothing);
-//! * `Before[p,v,b]`/`After[p,v,b]` — **expression aliases** `Σ_d
-//!   Move[p,v,b,d]` / `Σ_s Move[p,v,s,b]` (the paper's "redundant
-//!   variables", §6, realized symbolically);
+//! * `Before[p,v,b]`/`After[p,v,b]` — not columns: wherever a row
+//!   mentions one, the sum `Σ_d Move[p,v,b,d]` / `Σ_s Move[p,v,s,b]` is
+//!   streamed into the row term by term (the paper's "redundant
+//!   variables", §6, substituted as `Move` sums);
 //! * `Color[v,xb,r]` — point-independent transfer-bank register choice
 //!   (§9);
 //! * `cloneBefore/cloneAfter/cloneMove` — representative counting for
@@ -23,8 +24,8 @@
 //! consecutive action points the bank cannot usefully change, so the
 //! per-point `Copy` chains collapse into one `After[a_i] = Before[a_{i+1}]`
 //! equality per segment, and K constraints reference the segment's
-//! expression. This is what lets our bounded-variable simplex (dense
-//! basis inverse) solve the models CPLEX solved for the paper.
+//! `Move` sum. This is what lets our bounded-variable simplex (sparse LU
+//! basis factorization) solve the models CPLEX solved for the paper.
 
 use super::candidates::{
     clone_groups, load_bank, prune, store_bank, unpruned, Candidates, IlpBank,
@@ -33,9 +34,7 @@ use super::facts::{Fact, Facts, PointId};
 use super::staged::FallbackPolicy;
 use crate::freq::Frequencies;
 use crate::liveness::Point;
-use ilp::{
-    BranchConfig, Cmp, GroupId, Key, LinExpr, MilpError, Model, ModelStats, SolveStats, Var,
-};
+use ilp::{BranchConfig, Cmp, GroupId, Key, MilpError, Model, ModelStats, SolveStats, Var};
 use ixp_machine::{Program, Temp};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -1118,7 +1117,6 @@ pub fn build_model(
 
     // ---- Objective (§7) with clone-set counting (§10) ----
     let mut counted: HashSet<(PointId, Temp)> = HashSet::new();
-    let mut objective = LinExpr::new();
     for key in &move_keys {
         let ((p, v), vars) = (key, &moves[key]);
         if counted.contains(&(*p, *v)) {
@@ -1163,19 +1161,19 @@ pub fn build_model(
                         }
                     }
                 }
-                let mut b = model.row(g_clonemove);
-                b.term(cm, 1.0);
-                for &(mv, c) in &sbuf {
-                    b.term(mv, -c);
-                }
-                b.finish_lazy(Cmp::Le, 0.0);
                 let cost = move_cost(cfg, b1, b2).unwrap_or(0.0);
                 let biased = if b1 == IlpBank::B {
                     cost * cfg.bias
                 } else {
                     cost
                 };
-                objective += LinExpr::from(cm) * (w * biased);
+                model.objective_term(cm, w * biased);
+                let mut b = model.row(g_clonemove);
+                b.term(cm, 1.0);
+                for &(mv, c) in &sbuf {
+                    b.term(mv, -c);
+                }
+                b.finish_lazy(Cmp::Le, 0.0);
             }
         } else {
             counted.insert((*p, *v));
@@ -1189,7 +1187,7 @@ pub fn build_model(
                 } else {
                     cost
                 };
-                objective += LinExpr::from(*var) * (w * biased);
+                model.objective_term(*var, w * biased);
             }
         }
     }
@@ -1201,23 +1199,18 @@ pub fn build_model(
     let n_color_vars: usize = colors.values().map(|v| v.len()).sum();
     if n_color_vars > 0 {
         let eps = cfg.mv_cost * 1e-3 / (8.0 * n_color_vars as f64);
-        let mut tie = LinExpr::new();
         for vars in colors.values() {
-            for (r, var) in vars.iter().enumerate() {
-                if r > 0 {
-                    tie.add_term(*var, eps * r as f64);
-                }
+            for (r, var) in vars.iter().enumerate().skip(1) {
+                model.objective_term(*var, eps * r as f64);
             }
         }
-        model.add_objective(tie);
     }
     // Surviving parameter-passing copies cost a move at their block's
     // frequency (coalesced copies cost nothing).
     for (p, pm) in &copy_penalties {
         let w = freqs.of(block_of(*p)).max(1e-3);
-        objective += LinExpr::from(*pm) * (w * cfg.mv_cost);
+        model.objective_term(*pm, w * cfg.mv_cost);
     }
-    model.add_objective(objective);
 
     BankModel {
         model,

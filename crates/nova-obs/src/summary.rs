@@ -85,8 +85,9 @@ impl Summary {
         self.samples.iter().find(|s| s.name == name)
     }
 
-    /// Render a compact human-readable report (one line per entry),
-    /// used by `bench --bin obs_report` and handy in tests.
+    /// Render a compact human-readable report (one line per entry) of
+    /// the summary `bench phases` tabulates; handy in tests and when
+    /// debugging.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for s in &self.spans {

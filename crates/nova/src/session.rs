@@ -51,7 +51,7 @@ use crate::{
     alloc_error, cps_phase, frontend_phase, isel_phase, CompileConfig, CompileError, CompileOutput,
     CompileReport, Phase,
 };
-use ilp::{BranchConfig, KernelKind};
+use ilp::BranchConfig;
 use ixp_machine::{Addr, AluSrc, Instr, Program, Temp, Terminator};
 use nova_backend::alloc::AllocConfig;
 use nova_backend::{
@@ -493,7 +493,7 @@ fn hash_parts(parts: &[u64]) -> u64 {
 /// files: bump it whenever a knob's meaning changes, a knob joins or
 /// leaves a key, or the allocator's output for an unchanged
 /// (program, config) pair changes — old entries then miss cleanly.
-const KEY_VERSION: u64 = 1;
+const KEY_VERSION: u64 = 2;
 
 /// The session's two config fingerprints, `(alloc, pipeline)` — the
 /// second extends the first — hashed field by field from [`KEY_VERSION`].
@@ -532,7 +532,6 @@ fn config_fingerprints(config: &CompileConfig) -> (u64, u64) {
                         int_tol,
                         fathom_abs,
                         fathom_rel,
-                        kernel,
                         presolve,
                         cuts,
                     },
@@ -559,8 +558,6 @@ fn config_fingerprints(config: &CompileConfig) -> (u64, u64) {
     ];
     costs_and_tolerances.map(|x| x.to_bits()).hash(&mut alloc);
     (max_nodes, time_limit, presolve, cuts).hash(&mut alloc);
-    // `None` is the sparse default, so only the dense reference differs.
-    matches!(kernel, Some(KernelKind::Dense)).hash(&mut alloc);
     (*fallback as u8).hash(&mut alloc);
 
     let mut pipeline = alloc.clone();

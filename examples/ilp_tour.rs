@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example ilp_tour`.
 
-use ilp::{BranchConfig, Cmp, Key, LinExpr, Model};
+use ilp::{BranchConfig, Cmp, Key, Model, Var};
 
 fn main() {
     // Mini-IXP (§2.1): the transfer bank holds four registers. u,v,w,x
@@ -17,40 +17,50 @@ fn main() {
     let mut m = Model::minimize();
     let color = m.family("Color");
     let evict = m.family("Evict");
+    let one_reg = m.group("OneReg");
+    let adjacent = m.group("Adjacent");
+    let occupied = m.group("Occupied");
 
-    let regs: [u32; 4] = [0, 1, 2, 3];
     // u,v,w,x hold registers 0..4 after the first read.
     // Survivors u (reg 0) and w (reg 2) may be evicted.
     let eu = m.binary(evict, &[Key::Sym("u")]);
     let ew = m.binary(evict, &[Key::Sym("w")]);
 
-    // y and z each get exactly one register.
-    for who in ["y", "z"] {
-        let vars: Vec<_> = regs
-            .iter()
-            .map(|r| m.binary(color, &[Key::Sym(who), Key::Int(*r)]))
-            .collect();
-        m.constrain("OneReg", LinExpr::sum(vars), Cmp::Eq, 1.0);
-    }
+    // Color[who, r]: y and z each get exactly one of the four registers.
+    let place = |m: &mut Model, who: &'static str| -> [Var; 4] {
+        let vars = [0u32, 1, 2, 3].map(|r| m.binary(color, &[Key::Sym(who), Key::Int(r)]));
+        let mut row = m.row(one_reg);
+        for v in vars {
+            row.term(v, 1.0);
+        }
+        row.finish(Cmp::Eq, 1.0);
+        vars
+    };
+    let y = place(&mut m, "y");
+    let z = place(&mut m, "z");
     // Adjacency (§9): z sits directly above y.
-    for r in regs {
-        let y = m.expr(color, &[Key::Sym("y"), Key::Int(r)]);
-        let z = if r + 1 < 4 {
-            m.expr(color, &[Key::Sym("z"), Key::Int(r + 1)])
-        } else {
-            LinExpr::new()
-        };
-        m.constrain("Adjacent", y - z, Cmp::Eq, 0.0);
+    for (r, &yr) in y.iter().enumerate() {
+        let mut row = m.row(adjacent);
+        row.term(yr, 1.0);
+        if let Some(&zr) = z.get(r + 1) {
+            row.term(zr, -1.0);
+        }
+        row.finish(Cmp::Eq, 0.0);
     }
     // Occupancy: register 0 needs u evicted, register 2 needs w evicted.
-    for who in ["y", "z"] {
-        let c0 = m.expr(color, &[Key::Sym(who), Key::Int(0)]);
-        m.constrain("Occupied", c0 - LinExpr::from(eu), Cmp::Le, 0.0);
-        let c2 = m.expr(color, &[Key::Sym(who), Key::Int(2)]);
-        m.constrain("Occupied", c2 - LinExpr::from(ew), Cmp::Le, 0.0);
+    for c in [y, z] {
+        m.row(occupied)
+            .term(c[0], 1.0)
+            .term(eu, -1.0)
+            .finish(Cmp::Le, 0.0);
+        m.row(occupied)
+            .term(c[2], 1.0)
+            .term(ew, -1.0)
+            .finish(Cmp::Le, 0.0);
     }
     // Objective: eviction costs.
-    m.add_objective(3.0 * eu + 1.0 * ew);
+    m.objective_term(eu, 3.0);
+    m.objective_term(ew, 1.0);
 
     let stats = m.stats();
     println!(
@@ -59,15 +69,11 @@ fn main() {
     );
     let sol = m.solve(&BranchConfig::default()).expect("solvable");
     println!("optimal eviction cost: {}", sol.objective);
-    let who_evicted = |name: &'static str| m.value(evict, &[Key::Sym(name)], &sol.values) > 0.5;
-    println!(
-        "evict u? {}   evict w? {}",
-        who_evicted("u"),
-        who_evicted("w")
-    );
-    for who in ["y", "z"] {
-        for r in regs {
-            if m.value(color, &[Key::Sym(who), Key::Int(r)], &sol.values) > 0.5 {
+    let set = |v: Var| sol.values[v.index()] > 0.5;
+    println!("evict u? {}   evict w? {}", set(eu), set(ew));
+    for (who, c) in [("y", y), ("z", z)] {
+        for (r, &v) in c.iter().enumerate() {
+            if set(v) {
                 println!("{who} -> transfer register {r}");
             }
         }
@@ -75,7 +81,7 @@ fn main() {
     // The solver evicts only w (cost 1): y,z land in registers 1,2
     // (register 1 was freed by v dying — no eviction needed there).
     assert_eq!(sol.objective, 1.0);
-    assert!(!who_evicted("u"));
-    assert!(who_evicted("w"));
+    assert!(!set(eu));
+    assert!(set(ew));
     println!("ok!");
 }

@@ -1,7 +1,6 @@
 //! The `CompileConfig::builder()` surface: solver knobs land where the
 //! pipeline reads them.
 
-use ilp::KernelKind;
 use nova::CompileConfig;
 use std::time::Duration;
 
@@ -19,12 +18,14 @@ fn builder_sets_solver_knobs() {
 
 #[test]
 fn build_resolves_every_automatic_knob() {
-    // After build() nothing is left to resolve later: the kernel default
-    // is the sparse LU (the dense reference kernel is reachable only
-    // through `BranchConfig::with_kernel`).
+    // After build() nothing is left to resolve later: the unset deadline
+    // and gap land in the solver config as concrete values.
     let cfg = CompileConfig::builder().build();
-    assert_eq!(cfg.alloc.solver.kernel, None);
-    assert_eq!(cfg.alloc.solver.effective_kernel(), KernelKind::Sparse);
+    assert_eq!(cfg.alloc.solver.time_limit, None);
+    assert_eq!(
+        cfg.alloc.solver.relative_gap,
+        ilp::BranchConfig::default().relative_gap
+    );
 }
 
 #[test]
